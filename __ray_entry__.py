@@ -613,9 +613,9 @@ def _events_asof_orders(sf_dir: str) -> Any:
 
 
 def _orders_by_segment_bucket(sf_dir: str) -> Any:
-    """orders ⋈ customer through the engine-owned bucket_join (no Ray
-    JoinOperator) — must produce exactly the Dataset.join plan's result, so
-    it shares ORDERS_BY_SEGMENT_SQL."""
+    """orders ⋈ customer through the engine-owned bucket_join directly —
+    must produce exactly the planner's result, so it shares
+    ORDERS_BY_SEGMENT_SQL."""
     import pyarrow.compute as pc
     from ray.data.aggregate import Count, Sum
 
@@ -859,7 +859,6 @@ def _part_supplier_pagerank(sf_dir: str) -> Any:
     unrolled as SQL CTEs — exact because every sum is int64."""
     import pyarrow.compute as pc
 
-    from deepseek_ocr_ray import cluster
     from deepseek_ocr_ray.stages.graph import pagerank_int
 
     li = analytics.read_table(sf_dir, "lineitem", columns=["l_partkey", "l_suppkey"])
@@ -883,7 +882,6 @@ def _part_supplier_pagerank(sf_dir: str) -> Any:
     return pagerank_int(
         sym,
         num_iters=3,
-        approx_bytes=cluster.table_file_bytes(sf_dir, "lineitem") // 2,
         assume_symmetric=True,  # mk() emits both directions of every pair
     )
 
@@ -2044,20 +2042,12 @@ def _user_retention(sf_dir: str) -> Any:
     cohorts = bucket_groupby_agg(
         pairs, ["user_id"], [("week", "min", "cohort")]
     ).materialize()  # user-bounded — the actual broadcast side
-    from deepseek_ocr_ray.cluster import BROADCAST_MAX_BYTES
-
-    strat = (
-        "broadcast"
-        if (cohorts.size_bytes() or 0) <= BROADCAST_MAX_BYTES
-        else None
-    )
     joined = equi_join(
         pairs,
         cohorts,
         on="user_id",
         left_cols=["week"],
         right_cols=["cohort"],
-        strategy=strat,
     )
     return bucket_groupby_agg(
         joined, ["cohort", "week"], [(None, "count", "n_users")]
@@ -2241,7 +2231,7 @@ def _user_day_views_vs_purchases(sf_dir: str) -> Any:
     right-only and left-only days both survive with nulls on the absent
     side; the key column is the join's own COALESCE (bucket_join key_out).
     Exact under the keyed-exchange plan because each key's rows co-locate
-    in one bucket (broadcast/hash plans cannot express this)."""
+    in one bucket (a broadcast plan cannot express this)."""
     from deepseek_ocr_ray.cluster import equi_join
     from deepseek_ocr_ray.stages.agg import bucket_groupby_agg
 

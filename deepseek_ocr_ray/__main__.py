@@ -197,7 +197,7 @@ def cmd_quality_filter(args: argparse.Namespace) -> int:
     write the surviving documents (all original columns) as parquet."""
     _ensure_ray(args.num_cpus)
     from .cluster import equi_join
-    from .pipelines.analytics import read_table, table_file_bytes
+    from .pipelines.analytics import read_table
     from .pipelines.curation import corpus_quality_filter
 
     flags = corpus_quality_filter(
@@ -214,7 +214,6 @@ def cmd_quality_filter(args: argparse.Namespace) -> int:
         kept_ids,
         on="doc_id",
         join_type="left_semi",
-        approx_bytes=table_file_bytes(args.input, "documents"),
     )
     kept.write_parquet(args.output)
     n_kept = kept.count()

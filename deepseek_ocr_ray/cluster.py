@@ -1,15 +1,15 @@
 """Cluster-shape helpers shared by pipelines and stages.
 
 The centerpiece is :func:`equi_join` — the engine's join PLANNER.  Every
-equi-join in the repo routes through it so the Ray 2.49 ``Dataset.join``
-fragilities (one-shot schema broadcast lost to an empty first block;
-per-aggregator memory admission) are handled in exactly one place, with a
-tested fallback to the engine-owned ``bucket_join`` instead of a
-probabilistic mitigation replicated per call site."""
+equi-join in the repo routes through it.  It materializes the right side
+once and picks one of two engine-owned plans by its size: a broadcast
+(no exchange) when it fits the object-store cap, else the keyed-exchange
+``stages.joins.bucket_join``.  Ray's own ``Dataset.join`` is not used: its
+hash-shuffle aggregators lose their one-shot schema broadcast to an empty
+first block and reserve large per-aggregator memory budgets."""
 
 from __future__ import annotations
 
-import logging
 import math
 import os
 
@@ -18,103 +18,10 @@ import pyarrow.compute as pc
 import ray
 import ray.data
 
-logger = logging.getLogger(__name__)
-
-
-# impossible key values for join anchors over non-negative id domains; use
-# the L value on the left side and R on the right so anchor rows can never
-# match each other and fall out of inner joins automatically (left-outer
-# joins must still filter the left anchor from their output)
-JOIN_SENTINEL_L = -(1 << 62)
-JOIN_SENTINEL_R = -(1 << 62) + 1
-
-
-def anchor_join_input(ds: "ray.data.Dataset", sentinel: pa.Table) -> "ray.data.Dataset":
-    """Prepend a one-row sentinel block to a ``Dataset.join`` input.
-
-    Ray 2.49's hash-shuffle join broadcasts a side's schema to all
-    aggregator partitions only while shuffling the FIRST block of that side
-    — and consumes the one-shot flag even when that block has zero rows.
-    ``map_batches`` never invokes its UDF on empty blocks, so they cannot be
-    normalized away; if an empty block (from a selective filter, an empty
-    groupby partition, or a no-match join) arrives first, schema-less
-    aggregator partitions crash at finalize with ArrowInvalid "No match or
-    multiple matches for key field".
-
-    The sentinel lives in an ``InputDataBuffer`` that is ready at execution
-    start, so it is shuffled (and broadcasts the schema) before any computed
-    block can arrive.  Callers pick sentinel key values outside the real key
-    domain (e.g. ``-(1 << 62)`` for non-negative ids) and filter them from
-    the join output.
-
-    NOTE this is a probabilistic mitigation, not an ordering guarantee —
-    Ray does not promise cross-operator bundle arrival order.  In practice
-    the input buffer wins by the milliseconds the computed branch needs for
-    its first task, and a loss fails FAST (ArrowInvalid at finalize, no
-    wrong results) on a resumable job.  If Ray ever changes scheduling such
-    that this fires, the fallback is the engine's groupby+map_groups join
-    skeleton (stages/joins.py), which has no such sensitivity.
-    """
-    return ray.data.from_arrow(sentinel).union(ds)
-
-
-def join_partitions(cap: int = 16) -> int:
-    """Hash-join partition count sized to the cluster.
-
-    Each ``Dataset.join`` spawns ``num_partitions`` HashShuffleAggregator
-    actors that reserve a slice of the CPU budget; a fixed 16 stalls the
-    streaming executor on small clusters when a pipeline contains two or
-    more joins (measured: 2×16 aggregators on 4 CPUs → deadlock).  On a
-    real multi-node cluster CPU count is large, so this caps at ``cap`` —
-    raise the cap on very large clusters where shuffle-output parallelism
-    should exceed 16.
-    """
-    try:
-        cpus = int(ray.cluster_resources().get("CPU", 8))
-    except Exception:
-        cpus = 8
-    return max(2, min(cap, cpus // 2))
-
-
-# partition_size_hint for Dataset.join: without a hint Ray reserves
-# ~0.88 GiB of memory budget PER AGGREGATOR (shuffle+joining+output
-# defaults), which the streaming executor cannot admit late in a long
-# shared session on a small machine — joins then sit "backpressured:tasks"
-# forever with zero running tasks.  The repo's join partitions are sized to
-# cluster CPUs, so per-partition volumes are modest; 64 MiB keeps the
-# reservation honest.  Callers moving truly large partitions should pass
-# their own estimate.
-JOIN_PARTITION_SIZE_HINT = 64 << 20
-
-# target bytes of join input per hash partition when the caller supplies a
-# volume estimate — one aggregator comfortably handles this much
-JOIN_TARGET_PARTITION_BYTES = 128 << 20
-
 # ceiling on the materialized right side of a broadcast join — one copy
 # lands in each node's plasma store and is read zero-copy by every task, so
 # the bound is per-node object-store headroom, not per-task heap
 BROADCAST_MAX_BYTES = 256 << 20
-
-
-def join_partitions_for_bytes(
-    approx_bytes: int | None = None, cap: int = 16
-) -> int:
-    """Hash-join partition count sized to BOTH the cluster and the input.
-
-    Each partition is a standing HashShuffleAggregator actor with a fixed
-    startup + memory-reservation cost; at sf0.1 that fixed cost dominates a
-    16-way join (measured: q3_shipping 10.6 s, mostly aggregator startup).
-    With a volume estimate the count grows with the data —
-    ``ceil(bytes / 128 MiB)`` — and is clamped to the CPU-derived cap, so
-    tiny inputs get 2 aggregators and large inputs saturate the cluster.
-    Without an estimate this falls back to the CPU-only sizing
-    (:func:`join_partitions`).
-    """
-    cpu_cap = join_partitions(cap)
-    if approx_bytes is None:
-        return cpu_cap
-    need = max(2, math.ceil(approx_bytes / JOIN_TARGET_PARTITION_BYTES))
-    return min(cpu_cap, need)
 
 
 # target bytes of exploded-unit payload per assembly shuffle group — one
@@ -128,9 +35,8 @@ def assembly_buckets_for_bytes(
 ) -> int:
     """Assembly-exchange group count sized to BOTH the cluster and input.
 
-    Unlike joins (standing aggregator actors, so MORE partitions cost
-    memory), the assembly groupby is a sort exchange — group count is free,
-    and too FEW groups is the failure mode: each ``map_groups`` task
+    The assembly groupby is a sort exchange — group count is free, and too
+    FEW groups is the failure mode: each ``map_groups`` task
     receives corpus/n_buckets bytes, so a fixed count is a per-task memory
     cliff and a parallelism cap at 100× scale.  The count grows with input
     volume (``ceil(bytes / 64 MiB)``) and never drops below
@@ -161,7 +67,7 @@ def dataset_size_estimate(ds: ray.data.Dataset) -> int | None:
 
 def table_file_bytes(sf_dir: str, *names: str) -> int:
     """On-disk bytes of benchmark parquet tables — the cheap (metadata-only)
-    volume estimate call sites feed to :func:`join_partitions_for_bytes`."""
+    volume estimate call sites feed to :func:`assembly_buckets_for_bytes`."""
     total = 0
     for name in names:
         p = os.path.join(sf_dir, f"{name}.parquet")
@@ -182,39 +88,24 @@ def table_file_bytes(sf_dir: str, *names: str) -> int:
 # the join planner
 # --------------------------------------------------------------------------
 
-# string-key sentinels: NUL-prefixed so no natural key collides; the int
-# sentinels reuse JOIN_SENTINEL_L/R
-_STR_SENTINEL_L = "\x00\x00dsor-anchor-l"
-_STR_SENTINEL_R = "\x00\x00dsor-anchor-r"
 
-_SCHEMA_RACE_MARKERS = (
-    "No match or multiple matches for key field",
-    "no match for key field",
-)
-
-
-def _is_schema_race_error(err: BaseException) -> bool:
-    return any(m in str(err) for m in _SCHEMA_RACE_MARKERS)
-
-
-def _sentinel_value(t: pa.DataType, side: str):
-    if pa.types.is_integer(t):
-        return JOIN_SENTINEL_L if side == "l" else JOIN_SENTINEL_R
-    if pa.types.is_string(t) or pa.types.is_large_string(t):
-        return _STR_SENTINEL_L if side == "l" else _STR_SENTINEL_R
-    raise TypeError(
-        f"equi_join: unsupported key type {t} — int and string keys only"
-    )
-
-
-def _sentinel_table(schema: dict[str, pa.DataType], key: str, side: str) -> pa.Table:
-    cols = {}
-    for name, t in schema.items():
-        if name == key:
-            cols[name] = pa.array([_sentinel_value(t, side)], t)
-        else:
-            cols[name] = pa.nulls(1, t)
-    return pa.table(cols)
+def _side_schema(
+    ds: "ray.data.Dataset", override: dict | None, side: str
+) -> dict[str, pa.DataType]:
+    """Column→type map for one join input.  ``Dataset.schema()`` is None
+    for a computed dataset that turns out empty (e.g. a no-duplicates
+    candidate stream) — callers joining such inputs pass the types
+    explicitly via ``left_types`` / ``right_types``."""
+    if override is not None:
+        return dict(override)
+    sch = ds.schema()
+    if sch is None:
+        raise ValueError(
+            f"equi_join: {side} input has no derivable schema (empty "
+            f"computed dataset?) — pass {side}_types={{col: pa.DataType}}"
+        )
+    base = sch.base_schema
+    return {c: base.field(c).type for c in base.names}
 
 
 def equi_join(
@@ -226,15 +117,11 @@ def equi_join(
     join_type: str = "inner",
     left_cols: list[str] | None = None,
     right_cols: list[str] | None = None,
-    num_partitions: int | None = None,
-    approx_bytes: int | None = None,
     strategy: str | None = None,
     n_buckets: int = 64,
     left_types: dict[str, pa.DataType] | None = None,
     right_types: dict[str, pa.DataType] | None = None,
-    broadcast_max_bytes: int = BROADCAST_MAX_BYTES,
     key_out: str | None = None,
-    _drop_anchor: bool = False,
 ) -> "ray.data.Dataset":
     """Engine-owned equi-join planner — ALL repo equi-joins go through here.
 
@@ -244,88 +131,53 @@ def equi_join(
     ``left_outer`` unmatched left rows carry nulls in ``right_cols``.
     Right-side key uniqueness follows SQL semantics (matches replicate).
 
-    Strategies (``strategy`` arg > ``DSOR_JOIN_STRATEGY`` env > ``auto``):
+    Default plan (``strategy=None``): the right input is materialized ONCE
+    (its schema then comes from the materialized blocks — no limit-1
+    probe, no second execution), and its byte size picks one of two plans:
 
-    - ``hash``  — Ray's hash-shuffle ``Dataset.join`` with schema-anchor
-      sentinel rows prepended to both inputs (see ``anchor_join_input``) and
-      sentinels filtered from the output.  Fastest exchange; fully lazy; the
-      anchor is a probabilistic race mitigation, not a guarantee.
-    - ``bucket`` — the engine-owned ``stages.joins.bucket_join`` (groupby +
-      per-bucket C++ acero joins).  No schema-broadcast race, no standing
-      aggregator actors; lazy; sort-based exchange (slower at equal scale).
-      The right choice when robustness beats peak throughput or the join
-      output is too large to materialize.
-    - ``broadcast`` — NO exchange at all: the right side is materialized
-      once, shipped to the object store via ``ray.put`` (one plasma copy per
-      node, zero-copy reads in every task), and each left batch joins
-      against it locally with a C++ acero join.  The only join whose cost
-      is O(left scan) — the correct plan whenever the right side is a
-      lookup table (dims, distinct-key sets, configs).  Guarded by
-      ``broadcast_max_bytes`` (default 256 MiB): a larger right side raises
-      with guidance rather than silently flooding worker heaps.  Supports
-      all four join types (the right side is complete in every task, so
-      per-batch outer/semi/anti are exact).  Requires the right key NOT be
-      listed in ``right_cols`` (acero coalesces keys; the planner's other
-      strategies share this contract).
-    - ``auto`` (default) — run the ``hash`` plan EAGERLY (materialized so a
-      schema-broadcast loss surfaces here, not in the consumer) and fall
-      back to the ``bucket`` plan transparently if Ray's join dies with the
-      ArrowInvalid schema-race signature.  Robust by construction: the race
-      is retried through an operator that cannot lose it.  The eager
-      materialization holds the JOIN OUTPUT (post-exchange, usually reduced/
-      projected) in the object store; callers whose join output is corpus-
-      sized should pass ``strategy='bucket'`` to stay lazy AND robust.
+    - **broadcast** when ``right.size_bytes() <= BROADCAST_MAX_BYTES``
+      (read at call time) and the right key is not in ``right_cols`` — no
+      exchange at all: the right blocks are concatenated, shipped to the
+      object store via ``ray.put`` (one plasma copy per node, zero-copy
+      reads in every task), and each left batch joins against it locally
+      with a C++ acero join.  Cost is O(left scan), the right plan for
+      lookup tables (dims, distinct-key sets, survivor sets).  Exact for
+      all four left-driven join types, since every task sees the whole
+      right side.
+    - **bucket** otherwise — ``stages.joins.bucket_join`` (one keyed sort
+      exchange of both sides, then a per-bucket acero join) over the
+      already-materialized right side.
 
-    ``approx_bytes``: optional estimate of total join input volume (e.g.
-    ``table_file_bytes(...)``) used to size the hash plan's partition count
-    (``join_partitions_for_bytes``) so tiny inputs don't pay 16 aggregator
-    startups and large inputs don't underpartition.
-
-    ``_drop_anchor`` is a fault-injection hook for tests: it omits the
-    schema anchors so an empty-first-block arrival is guaranteed, proving
-    the ``auto`` fallback end-to-end.
+    ``strategy="bucket"`` skips the materialization and always runs the
+    keyed exchange lazily — for callers whose right side is corpus-sized.
+    ``right_outer`` / ``full_outer`` joins and ``key_out`` (the COALESCE'd
+    key column, which only the bucket plan produces) always take the
+    bucket plan: only a keyed exchange keeps right-only rows exact.
     """
     assert join_type in (
         "inner", "left_outer", "right_outer", "full_outer",
         "left_semi", "left_anti",
     ), join_type
+    assert strategy in (None, "bucket"), strategy
     r_on = right_on if right_on is not None else on
-    strategy = strategy or os.environ.get("DSOR_JOIN_STRATEGY", "auto")
-    assert strategy in ("auto", "hash", "bucket", "broadcast"), strategy
-    if join_type in ("right_outer", "full_outer") and strategy != "bucket":
-        # only the keyed-exchange plan keeps right-only rows exact (each
-        # key is complete in ONE bucket); the hash plan's anchor sentinels
-        # would surface as output rows and broadcast would replicate
-        # right-only rows per left batch — route outer variants here.
+    if join_type in ("right_outer", "full_outer"):
         strategy = "bucket"
-
-    def _side_schema(
-        ds: "ray.data.Dataset", override: dict | None, side: str
-    ) -> dict[str, pa.DataType]:
-        """Column→type map for one input.  ``Dataset.schema()`` is None for
-        a computed dataset that turns out empty (e.g. a no-duplicates
-        candidate stream) — callers joining such inputs pass the types
-        explicitly via ``left_types`` / ``right_types``."""
-        if override is not None:
-            return dict(override)
-        sch = ds.schema()
-        if sch is None:
-            raise ValueError(
-                f"equi_join: {side} input has no derivable schema (empty "
-                f"computed dataset?) — pass {side}_types={{col: pa.DataType}}"
-            )
-        base = sch.base_schema
-        return {c: base.field(c).type for c in base.names}
+    if key_out is not None and strategy != "bucket":
+        raise ValueError(
+            "equi_join: key_out (the COALESCE'd join key column) is only "
+            "produced by the bucket plan — pass strategy='bucket' or use a "
+            "full/right outer join_type (auto-routed there)"
+        )
+    if strategy is None:
+        right = right.materialize()
 
     l_schema = _side_schema(left, left_types, "left")
     r_schema = _side_schema(right, right_types, "right")
-    l_names = list(l_schema)
-    r_names = list(r_schema)
-    lcols = left_cols if left_cols is not None else l_names
+    lcols = left_cols if left_cols is not None else list(l_schema)
     rcols = (
         right_cols
         if right_cols is not None
-        else [c for c in r_names if c != r_on]
+        else [c for c in r_schema if c != r_on]
     )
     if join_type in ("left_semi", "left_anti"):
         rcols = []
@@ -336,7 +188,11 @@ def equi_join(
             "and right_cols — rename one side first"
         )
 
-    def bucket_plan() -> "ray.data.Dataset":
+    if (
+        strategy == "bucket"
+        or r_on in rcols
+        or (right.size_bytes() or 0) > BROADCAST_MAX_BYTES
+    ):
         from .stages.joins import bucket_join
 
         return bucket_join(
@@ -353,131 +209,36 @@ def equi_join(
             key_out=key_out,
         )
 
-    if key_out is not None and strategy != "bucket":
-        raise ValueError(
-            "equi_join: key_out (the COALESCE'd join key column) is only "
-            "produced by the bucket plan — pass strategy='bucket' or use a "
-            "full/right outer join_type (auto-routed there)"
+    rsel = list(dict.fromkeys([r_on] + rcols))
+    rtab = pa.concat_tables(
+        [t.select(rsel) for t in ray.get(right.to_arrow_refs()) if t.num_rows]
+        or [pa.table({c: pa.array([], r_schema[c]) for c in rsel})],
+        promote_options="default",
+    ).combine_chunks()
+    rref = ray.put(rtab)
+    how_arrow = {
+        "inner": "inner",
+        "left_outer": "left outer",
+        "left_semi": "left semi",
+        "left_anti": "left anti",
+    }[join_type]
+    lsel = list(dict.fromkeys(lcols + [on]))
+    out_cols = lcols + rcols
+    cast_schema = pa.schema(
+        [(c, l_schema[c]) for c in lcols] + [(c, r_schema[c]) for c in rcols]
+    )
+
+    def bcast_join(batch: pa.Table) -> pa.Table:
+        r = ray.get(rref)
+        joined = batch.select(lsel).join(
+            r,
+            keys=[on],
+            right_keys=[r_on],
+            join_type=how_arrow,
         )
-    if strategy == "bucket":
-        return bucket_plan()
+        return joined.select(out_cols).cast(cast_schema)
 
-    if strategy == "broadcast":
-        if r_on in rcols:
-            raise ValueError(
-                "equi_join(broadcast): the right key is coalesced into the "
-                f"left key by the local join — drop {r_on!r} from right_cols"
-            )
-        rtab = pa.concat_tables(
-            [
-                t.select(list(dict.fromkeys([r_on] + rcols)))
-                for t in ray.get(arrow_block_refs(right))
-                if t.num_rows
-            ]
-            or [
-                pa.table(
-                    {
-                        c: pa.array([], r_schema[c])
-                        for c in dict.fromkeys([r_on] + rcols)
-                    }
-                )
-            ],
-            promote_options="default",
-        ).combine_chunks()
-        if rtab.nbytes > broadcast_max_bytes:
-            raise ValueError(
-                f"equi_join(broadcast): right side is {rtab.nbytes >> 20} "
-                f"MiB (> {broadcast_max_bytes >> 20} MiB cap) — a side that "
-                "large must move through an exchange; use strategy='auto' "
-                "or 'bucket'"
-            )
-        rref = ray.put(rtab)
-        how_arrow = {
-            "inner": "inner",
-            "left_outer": "left outer",
-            "left_semi": "left semi",
-            "left_anti": "left anti",
-        }[join_type]
-        lsel = list(dict.fromkeys(lcols + [on]))
-        out_cols = lcols + rcols
-        cast_schema = pa.schema(
-            [(c, l_schema[c]) for c in lcols]
-            + [(c, r_schema[c]) for c in rcols]
-        )
-
-        def bcast_join(batch: pa.Table) -> pa.Table:
-            r = ray.get(rref)
-            joined = batch.select(lsel).join(
-                r,
-                keys=[on],
-                right_keys=[r_on],
-                join_type=how_arrow,
-            )
-            return joined.select(out_cols).cast(cast_schema)
-
-        return left.map_batches(bcast_join, batch_format="pyarrow")
-
-    def hash_plan() -> "ray.data.Dataset":
-        nparts = (
-            num_partitions
-            if num_partitions is not None
-            else join_partitions_for_bytes(approx_bytes)
-        )
-        if approx_bytes is not None:
-            hint = min(max(approx_bytes // nparts, 16 << 20), 1 << 30)
-        else:
-            hint = JOIN_PARTITION_SIZE_HINT
-        l_in, r_in = left, right
-        if not _drop_anchor:
-            l_in = anchor_join_input(l_in, _sentinel_table(l_schema, on, "l"))
-            r_in = anchor_join_input(r_in, _sentinel_table(r_schema, r_on, "r"))
-        joined = l_in.join(
-            r_in,
-            join_type=join_type,
-            num_partitions=nparts,
-            partition_size_hint=hint,
-            on=(on,),
-            right_on=(r_on,) if r_on != on else None,
-        )
-        # sentinel post-filter: inner joins drop the never-matching anchors
-        # on their own and left_semi keeps only matched left rows — only
-        # plans where an UNMATCHED left row survives need the filter
-        out_fields = [(c, l_schema[c]) for c in lcols] + [
-            (c, r_schema[c]) for c in rcols
-        ]
-        out_cols = lcols + rcols
-        key_t = l_schema[on]
-        sent_l = _sentinel_value(key_t, "l")
-        needs_filter = join_type in ("left_outer", "left_anti")
-
-        def strip(batch: pa.Table) -> pa.Table:
-            if batch.num_rows == 0 or on not in batch.column_names:
-                return pa.table(
-                    {name: pa.array([], t) for name, t in out_fields}
-                )
-            if needs_filter:
-                batch = batch.filter(
-                    pc.not_equal(batch[on], pa.scalar(sent_l, key_t))
-                )
-            return batch.select(out_cols)
-
-        return joined.map_batches(strip, batch_format="pyarrow")
-
-    if strategy == "hash":
-        return hash_plan()
-
-    # auto: eager hash with tested bucket fallback
-    try:
-        return hash_plan().materialize()
-    except Exception as err:  # noqa: BLE001 — filtered to the race signature
-        if not _is_schema_race_error(err):
-            raise
-        logger.warning(
-            "equi_join: Dataset.join lost its schema broadcast (%s); "
-            "re-planning through bucket_join",
-            type(err).__name__,
-        )
-        return bucket_plan()
+    return left.map_batches(bcast_join, batch_format="pyarrow")
 
 
 def equi_join_multi(

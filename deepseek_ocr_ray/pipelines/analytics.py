@@ -16,8 +16,9 @@ Scale notes: every groupby here is a Ray hash aggregate with map-side
 combine (the shuffle carries one partial row per key per block).  Small
 dimension sides (customer keys, order→date maps after a selective filter)
 are broadcast once via ``ray.put`` and read inside ``map_batches`` — a
-broadcast-hash join.  The shuffle-hash join (``Dataset.join``) is used where
-both sides are large.
+broadcast-hash join.  Every other equi-join goes through the
+``cluster.equi_join`` planner, which broadcasts a right side that fits the
+object-store cap and exchanges both sides by key otherwise.
 """
 
 from __future__ import annotations
@@ -37,7 +38,6 @@ from ..cluster import (
     dataset_size_estimate,
     equi_join,
     equi_join_multi,
-    join_partitions,
     table_file_bytes,
 )
 from ..functions import text_stats
@@ -56,9 +56,6 @@ def _cents(col: pa.ChunkedArray | pa.Array) -> pa.Array:
     """ROUND-HALF-UP integer cents — identical to SQL FLOOR(x*100 + 0.5)."""
     x = col.to_numpy(zero_copy_only=False).astype(np.float64)
     return pa.array(np.floor(x * 100.0 + 0.5).astype(np.int64), pa.int64())
-
-
-_join_partitions = join_partitions
 
 
 # ---------------------------------------------------------------------------
@@ -688,9 +685,9 @@ GROUP BY 1, 2 ORDER BY 1, 2
 
 
 def orders_by_segment(sf_dir: str) -> ray.data.Dataset:
-    """orders ⋈ customer via the planner's SHUFFLE hash join path — both
-    sides scale with SF, so this is the large-large join path (with the
-    planner's tested bucket_join fallback behind it)."""
+    """orders ⋈ customer through the join planner — both sides scale with
+    SF, so above the broadcast cap this is the large-large keyed-exchange
+    path."""
     orders = read_table(sf_dir, "orders", columns=["o_custkey", "o_totalprice"])
 
     def prep_orders(batch: pa.Table) -> pa.Table:
@@ -708,7 +705,6 @@ def orders_by_segment(sf_dir: str) -> ray.data.Dataset:
         right_on="c_custkey",
         join_type="inner",
         right_cols=["c_mktsegment"],
-        approx_bytes=table_file_bytes(sf_dir, "orders", "customer"),
     )
     agg = joined.groupby("c_mktsegment").aggregate(Count(), Sum("price_cents"))
     return agg.rename_columns(
@@ -726,9 +722,9 @@ GROUP BY 1 ORDER BY 1
 
 def q3_shipping(sf_dir: str, segment: str = "BUILDING",
                 cutoff: str = "1995-03-15", k: int = 10) -> ray.data.Dataset:
-    """TPC-H Q3 shape: selective vectorized filters at the scan → shuffle
-    hash joins (``Dataset.join``) → map-side partial revenue combine →
-    final aggregate → top-k.
+    """TPC-H Q3 shape: selective vectorized filters at the scan → planner
+    joins (broadcast or keyed exchange) → map-side partial revenue
+    combine → final aggregate → top-k.
 
     Scale notes: nothing is materialized on the driver — customer and
     orders are filtered as Datasets and joined distributedly (both sides
@@ -765,7 +761,6 @@ def q3_shipping(sf_dir: str, segment: str = "BUILDING",
         join_type="inner",
         left_cols=["o_orderkey", "o_orderdate"],
         right_cols=[],
-        approx_bytes=table_file_bytes(sf_dir, "orders", "customer"),
     )
 
     li = read_table(
@@ -801,7 +796,6 @@ def q3_shipping(sf_dir: str, segment: str = "BUILDING",
         right_on="o_orderkey",
         join_type="inner",
         right_cols=["o_orderdate"],
-        approx_bytes=table_file_bytes(sf_dir, "lineitem"),
     )
     agg = (
         joined.groupby(["l_orderkey", "o_orderdate"])
@@ -875,10 +869,10 @@ def customers_without_orders(
     - small side (≤ ``broadcast_threshold`` customers): broadcast anti-join —
       the distinct matching custkey set is collected once, ``ray.put`` once,
       and each customer batch filters against it with ``np.isin``;
-    - large side: the planner's distributed ``left_anti`` join against the
-      distinct matched keys.  Nothing touches the driver; both sides
-      shuffle by key.  This is the only valid plan at corpus scale (15 M
-      customers at SF100).
+    - large side: the planner's keyed-exchange (``bucket``) ``left_anti``
+      join against the distinct matched keys.  Nothing touches the
+      driver; both sides shuffle by key.  This is the only valid plan at
+      corpus scale (15 M customers at SF100).
     """
     orders = read_table(sf_dir, "orders", columns=["o_custkey", "o_orderdate"])
 
@@ -913,7 +907,7 @@ def customers_without_orders(
         on="c_custkey",
         right_on="o_custkey",
         join_type="left_anti",
-        approx_bytes=table_file_bytes(sf_dir, "customer", "orders"),
+        strategy="bucket",
     )
 
 
@@ -937,11 +931,11 @@ def suppliers_with_lineitems(
     block, never one per lineitem).  Plan auto-selects on |supplier|
     (an upper bound on the distinct set, since l_suppkey ⊆ s_suppkey):
 
-    - small: the planner's ``broadcast`` strategy — the distinct-key set
-      moves to plasma once and each supplier batch semi-joins locally
+    - small: the planner's default plan, which broadcasts the distinct-key
+      set when it fits plasma — each supplier batch semi-joins locally
       (no exchange at all);
-    - large: the planner's distributed ``left_semi`` join — nothing on the
-      driver, the only valid plan at corpus scale.
+    - large: the planner's keyed-exchange (``bucket``) ``left_semi`` join —
+      nothing on the driver, the only valid plan at corpus scale.
     """
     distinct = (
         read_table(sf_dir, "lineitem", columns=["l_suppkey"])
@@ -956,8 +950,7 @@ def suppliers_with_lineitems(
         on="s_suppkey",
         right_on="l_suppkey",
         join_type="left_semi",
-        strategy="broadcast" if small else None,
-        approx_bytes=table_file_bytes(sf_dir, "supplier", "lineitem"),
+        strategy=None if small else "bucket",
     )
 
 
@@ -1543,7 +1536,6 @@ def user_day_activity(sf_dir: str) -> ray.data.Dataset:
         right_on=["h_user_id", "h_day"],
         left_cols=["n_events", "value_cents"],
         right_cols=["n_high"],
-        approx_bytes=table_file_bytes(sf_dir, "events"),
     )
 
 
@@ -1744,7 +1736,6 @@ def lineitems_urgent_bloom(sf_dir: str) -> ray.data.Dataset:
         orders,
         left_on="l_orderkey",
         right_on="o_orderkey",
-        approx_bytes=table_file_bytes(sf_dir, "lineitem", "orders"),
     )
 
 
@@ -2468,25 +2459,17 @@ def pmi_bigrams(
     cand = big_all.filter(expr=f"c >= {int(min_count)}").map_batches(
         split_bigram, batch_format="pyarrow"
     )
-    # the unigram side is vocab-bounded and already materialized: when it
-    # fits the plasma cap the joins go broadcast (zero exchange, no
-    # aggregator actors); an oversized vocab falls back to the planner's
-    # default shuffle strategy
-    from ..cluster import BROADCAST_MAX_BYTES
-
-    uni_bytes = uni.size_bytes() or 0
-    strat = "broadcast" if uni_bytes <= BROADCAST_MAX_BYTES else None
+    # the unigram side is vocab-bounded: the planner broadcasts it when it
+    # fits the plasma cap and exchanges it by key otherwise
     j1 = equi_join(
         cand,
         uni.rename_columns({"token": "left", "c1": "c1_left"}),
         on="left",
-        strategy=strat,
     )
     j2 = equi_join(
         j1,
         uni.rename_columns({"token": "right", "c1": "c1_right"}),
         on="right",
-        strategy=strat,
     )
 
     def score(batch: pa.Table) -> pa.Table:
@@ -2774,18 +2757,12 @@ def source_top_terms(
         st, ["token"], [("tf", "sum", "tf_total")]
     ).materialize()  # vocab-bounded — the actual broadcast side
 
-    from ..cluster import BROADCAST_MAX_BYTES, equi_join
+    from ..cluster import equi_join
 
-    strat = (
-        "broadcast"
-        if (totals.size_bytes() or 0) <= BROADCAST_MAX_BYTES
-        else None
-    )
     joined = equi_join(
         st.filter(expr=f"tf >= {int(min_count)}"),
         totals,
         on="token",
-        strategy=strat,
     )
 
     def score(batch: pa.Table) -> pa.Table:
@@ -3614,7 +3591,6 @@ def q5_local_volume(
         join_type="inner",
         left_cols=["o_orderkey"],
         right_cols=["c_nationkey"],
-        approx_bytes=table_file_bytes(sf_dir, "orders", "customer"),
     )
 
     li = read_table(
@@ -3642,7 +3618,6 @@ def q5_local_volume(
         join_type="inner",
         left_cols=["l_orderkey", "rev_cents"],
         right_cols=["s_nationkey"],
-        strategy="broadcast",
     )
 
     both = equi_join(
@@ -3653,7 +3628,6 @@ def q5_local_volume(
         join_type="inner",
         left_cols=["rev_cents", "s_nationkey"],
         right_cols=["c_nationkey"],
-        approx_bytes=table_file_bytes(sf_dir, "lineitem", "orders"),
     )
 
     def local_partial(batch: pa.Table) -> pa.Table:
@@ -3700,7 +3674,6 @@ def q18_big_orders(
     sf_dir: str,
     min_qty: int = 250,
     limit: int = 100,
-    survivor_strategy: str = "broadcast",
 ) -> ray.data.Dataset:
     """TPC-H Q18 shape — large-quantity orders: (customer, order) rows
     whose order's total lineitem quantity exceeds ``min_qty``, largest
@@ -3714,9 +3687,8 @@ def q18_big_orders(
     probe — orders joins it locally, and the resulting one-row-per-
     surviving-order table broadcasts against the customer scan.  Neither
     big table is ever exchanged.  A ``min_qty`` low enough to outgrow the
-    256 MiB broadcast guard raises with guidance; pass
-    ``survivor_strategy='bucket'`` to route both survivor joins through
-    the keyed-exchange plan instead.  Quantities are integral by TPC-H
+    planner's broadcast cap routes both survivor joins through the
+    keyed-exchange plan instead.  Quantities are integral by TPC-H
     construction → exact int64 sums; o_totalprice uses q3's pinned
     integer-cents kernel.
     """
@@ -3778,7 +3750,6 @@ def q18_big_orders(
         join_type="inner",
         left_cols=["o_orderkey", "o_custkey", "o_orderdate", "total_cents"],
         right_cols=["sum_qty"],
-        strategy=survivor_strategy,
         # a fully-filtered survivor stream has no derivable schema
         right_types={"l_orderkey": pa.int64(), "sum_qty": pa.int64()},
     )
@@ -3792,7 +3763,6 @@ def q18_big_orders(
         join_type="inner",
         left_cols=["c_custkey", "c_name"],
         right_cols=["o_orderkey", "o_orderdate", "total_cents", "sum_qty"],
-        strategy=survivor_strategy,
         right_types={
             "o_orderkey": pa.int64(),
             "o_custkey": pa.int64(),
@@ -4330,7 +4300,6 @@ def q7_nation_volume(
         join_type="inner",
         left_cols=["o_orderkey"],
         right_cols=["c_nationkey"],
-        approx_bytes=table_file_bytes(sf_dir, "orders", "customer"),
     )
 
     li = read_table(
@@ -4369,7 +4338,6 @@ def q7_nation_volume(
         join_type="inner",
         left_cols=["l_orderkey", "l_year", "rev_cents"],
         right_cols=["s_nationkey"],
-        strategy="broadcast",
     )
 
     both = equi_join(
@@ -4380,7 +4348,6 @@ def q7_nation_volume(
         join_type="inner",
         left_cols=["l_year", "rev_cents", "s_nationkey"],
         right_cols=["c_nationkey"],
-        approx_bytes=table_file_bytes(sf_dir, "lineitem", "orders"),
     )
 
     def pair_partial(batch: pa.Table) -> pa.Table:
@@ -4539,7 +4506,6 @@ def q8_market_share(
         join_type="inner",
         left_cols=["o_orderkey", "o_year"],
         right_cols=[],
-        approx_bytes=table_file_bytes(sf_dir, "orders", "customer"),
         # the region prune can filter the customer dim to zero rows
         # (no derivable schema on a fully-filtered computed stream)
         right_types={"c_custkey": pa.int64()},
@@ -4585,7 +4551,6 @@ def q8_market_share(
         join_type="inner",
         left_cols=["l_orderkey", "l_suppkey", "cents"],
         right_cols=[],
-        approx_bytes=table_file_bytes(sf_dir, "lineitem", "part"),
         # the p_type prune can filter the part dim to zero rows
         right_types={"p_partkey": pa.int64()},
     )
@@ -4611,7 +4576,6 @@ def q8_market_share(
         join_type="inner",
         left_cols=["l_orderkey", "cents"],
         right_cols=["is_target"],
-        strategy="broadcast",
     )
 
     joined = equi_join(
@@ -4622,7 +4586,6 @@ def q8_market_share(
         join_type="inner",
         left_cols=["cents", "is_target"],
         right_cols=["o_year"],
-        approx_bytes=table_file_bytes(sf_dir, "lineitem", "orders"),
         # ord_cust is itself a join over the region-pruned customer dim
         # and can be empty-computed (no derivable schema)
         right_types={"o_orderkey": pa.int64(), "o_year": pa.int64()},
@@ -4960,7 +4923,6 @@ def q14_promo_ratio(
         join_type="inner",
         left_cols=["cents"],
         right_cols=["is_promo"],
-        approx_bytes=table_file_bytes(sf_dir, "lineitem", "part"),
     )
 
     def partial(batch: pa.Table) -> pa.Table:
@@ -5082,7 +5044,6 @@ def q15_top_supplier(
         join_type="inner",
         left_cols=["s_suppkey", "s_name"],
         right_cols=["total_rev"],
-        strategy="broadcast",
         right_types={"l_suppkey": pa.int64(), "total_rev": pa.int64()},
     )
     return out.sort("s_suppkey")
@@ -5146,7 +5107,6 @@ def q17_small_qty_revenue(
         right_on="p_partkey",
         join_type="left_semi",
         left_cols=["l_partkey", "l_quantity", "l_extendedprice"],
-        approx_bytes=table_file_bytes(sf_dir, "lineitem", "part"),
         right_types={"p_partkey": pa.int64()},
     )
 
@@ -5188,7 +5148,6 @@ def q17_small_qty_revenue(
         join_type="inner",
         left_cols=["l_quantity", "l_extendedprice"],
         right_cols=["s", "n"],
-        approx_bytes=table_file_bytes(sf_dir, "lineitem"),
         right_types={"pk": pa.int64(), "s": pa.int64(), "n": pa.int64()},
     )
 
@@ -5284,7 +5243,6 @@ def q4_order_priority(
         right_on="l_orderkey",
         join_type="left_semi",
         left_cols=["o_orderpriority"],
-        approx_bytes=table_file_bytes(sf_dir, "orders", "lineitem"),
         right_types={"l_orderkey": pa.int64()},
     )
 
@@ -5401,7 +5359,6 @@ def q10_returned_revenue(
         join_type="inner",
         left_cols=["cents"],
         right_cols=["o_custkey"],
-        approx_bytes=table_file_bytes(sf_dir, "lineitem", "orders"),
     )
 
     def cust_partial(batch: pa.Table) -> pa.Table:
@@ -5430,7 +5387,6 @@ def q10_returned_revenue(
         join_type="inner",
         left_cols=["c_custkey", "c_name", "c_nationkey"],
         right_cols=["revenue_cents"],
-        approx_bytes=table_file_bytes(sf_dir, "customer", "orders"),
         right_types={"o_custkey": pa.int64(), "revenue_cents": pa.int64()},
     )
 
@@ -5524,7 +5480,6 @@ def q12_priority_by_status(sf_dir: str, year: int = 1997) -> pa.Table:
         join_type="inner",
         left_cols=["l_linestatus"],
         right_cols=["o_orderpriority"],
-        approx_bytes=table_file_bytes(sf_dir, "lineitem", "orders"),
     )
 
     def cond_partial(batch: pa.Table) -> pa.Table:
@@ -5672,7 +5627,6 @@ def q22_idle_customers(sf_dir: str, cutoff_year: int = 2000) -> pa.Table:
         right_on="o_custkey",
         join_type="left_anti",
         left_cols=["c_mktsegment", "cents"],
-        approx_bytes=table_file_bytes(sf_dir, "customer", "orders"),
         right_types={"o_custkey": pa.int64()},
     )
 
@@ -5791,7 +5745,6 @@ def q19_disjunctive_revenue(sf_dir: str) -> pa.Table:
         join_type="inner",
         left_cols=["l_quantity", "l_extendedprice", "l_discount"],
         right_cols=["mask"],
-        approx_bytes=table_file_bytes(sf_dir, "lineitem", "part"),
     )
 
     def partial(batch: pa.Table) -> pa.Table:
@@ -6459,7 +6412,6 @@ def q9_profit_by_nation(sf_dir: str, name_word: str = "widget") -> pa.Table:
         join_type="inner",
         left_cols=["l_orderkey", "l_suppkey", "rev_cents", "qty"],
         right_cols=["cost_cents"],
-        approx_bytes=table_file_bytes(sf_dir, "lineitem", "part"),
         # the name prune can filter the part dim to zero rows
         right_types={"p_partkey": pa.int64(), "cost_cents": pa.int64()},
     )
@@ -6485,7 +6437,6 @@ def q9_profit_by_nation(sf_dir: str, name_word: str = "widget") -> pa.Table:
         join_type="inner",
         left_cols=["l_orderkey", "profit_cents"],
         right_cols=["s_nationkey"],
-        strategy="broadcast",
         # a name_word matching NO part empties this computed side
         left_types={
             "l_orderkey": pa.int64(),
@@ -6514,7 +6465,6 @@ def q9_profit_by_nation(sf_dir: str, name_word: str = "widget") -> pa.Table:
         join_type="inner",
         left_cols=["profit_cents", "s_nationkey"],
         right_cols=["o_year"],
-        approx_bytes=table_file_bytes(sf_dir, "lineitem", "orders"),
         # a name_word matching NO part empties the computed left side
         # (no derivable schema); s_nationkey rides through the broadcast
         # join with the supplier scan's own int32
@@ -6737,7 +6687,6 @@ def q21_waiting_suppliers(sf_dir: str, limit: int = 100) -> pa.Table:
         join_type="inner",
         left_cols=["s_name"],
         right_cols=["numwait"],
-        approx_bytes=table_file_bytes(sf_dir, "supplier"),
         right_types={"suppkey": pa.int64(), "numwait": pa.int64()},
     )
     # an all-orders-disqualified corpus leaves every block a zero-column
@@ -7353,7 +7302,6 @@ def q2_min_cost_supplier(
         right_on="s_suppkey",
         join_type="left_semi",
         left_cols=["l_partkey", "l_suppkey", "l_extendedprice"],
-        approx_bytes=table_file_bytes(sf_dir, "lineitem", "supplier"),
         right_types={"s_suppkey": pa.int64()},
     )
 
@@ -7402,7 +7350,6 @@ def q2_min_cost_supplier(
         join_type="inner",
         left_cols=["l_partkey", "l_suppkey", "cost_cents"],
         right_cols=["p_name"],
-        approx_bytes=table_file_bytes(sf_dir, "part"),
         left_types={
             "l_partkey": pa.int64(),
             "l_suppkey": pa.int64(),
@@ -7449,7 +7396,6 @@ def q2_min_cost_supplier(
         join_type="inner",
         left_cols=["s_acctbal_cents", "s_name", "n_name"],
         right_cols=["l_partkey", "p_name", "cost_cents"],
-        approx_bytes=table_file_bytes(sf_dir, "supplier", "lineitem"),
         left_types={
             "s_suppkey": pa.int64(),
             "s_acctbal_cents": pa.int64(),
@@ -7587,7 +7533,6 @@ def q11_important_parts(
         right_on="s_suppkey",
         join_type="left_semi",
         left_cols=["l_partkey", "l_extendedprice"],
-        approx_bytes=table_file_bytes(sf_dir, "lineitem", "supplier"),
         right_types={"s_suppkey": pa.int64()},
     )
 
@@ -7723,7 +7668,6 @@ def q16_part_supplier_counts(
         right_on="s_suppkey",
         join_type="left_anti",
         left_cols=["l_partkey", "l_suppkey"],
-        approx_bytes=table_file_bytes(sf_dir, "lineitem", "supplier"),
         left_types={"l_partkey": pa.int64(), "l_suppkey": pa.int64()},
         right_types={"s_suppkey": pa.int64()},
     )
@@ -7752,7 +7696,6 @@ def q16_part_supplier_counts(
         join_type="inner",
         left_cols=["l_suppkey"],
         right_cols=["p_brand", "p_type", "p_size"],
-        approx_bytes=table_file_bytes(sf_dir, "part", "lineitem"),
         left_types={"l_partkey": pa.int64(), "l_suppkey": pa.int64()},
         right_types={
             "p_partkey": pa.int64(),
@@ -7862,7 +7805,6 @@ def q20_dominant_suppliers(
         right_on="p_partkey",
         join_type="left_semi",
         left_cols=["l_partkey", "l_suppkey", "qty"],
-        approx_bytes=table_file_bytes(sf_dir, "lineitem", "part"),
         left_types={
             "l_partkey": pa.int64(),
             "l_suppkey": pa.int64(),
@@ -7946,7 +7888,6 @@ def q20_dominant_suppliers(
         right_on="l_suppkey",
         join_type="inner",
         left_cols=["s_suppkey", "s_name"],
-        approx_bytes=table_file_bytes(sf_dir, "supplier", "lineitem"),
         right_types={"l_suppkey": pa.int64()},
     )
     # qualifying suppliers are a reduced catalog-side set — materialize

@@ -4459,7 +4459,7 @@ def _corpus_quality_filter_composed(
     planner joins exchanging doc-count-bounded tables.  Kept as the
     plan-equality witness for the fused plan."""
     from ..cluster import equi_join
-    from .analytics import doc_lm_score, table_file_bytes
+    from .analytics import doc_lm_score
 
     rarity = doc_rarity(sf_dir, top_k=top_k).select_columns(
         ["doc_id", "stop_ppm"]
@@ -4467,13 +4467,8 @@ def _corpus_quality_filter_composed(
     lm = doc_lm_score(sf_dir).select_columns(["doc_id", "mean_cond_ppm"])
     gop = gopher_quality(sf_dir).select_columns(["doc_id", "gopher_pass"])
 
-    docs_bytes = table_file_bytes(sf_dir, "documents")
-    j1 = equi_join(
-        rarity, lm, on="doc_id", approx_bytes=docs_bytes
-    )
-    j2 = equi_join(
-        j1, gop, on="doc_id", approx_bytes=docs_bytes
-    )
+    j1 = equi_join(rarity, lm, on="doc_id")
+    j2 = equi_join(j1, gop, on="doc_id")
 
     def flags(batch: pa.Table) -> pa.Table:
         stop = batch["stop_ppm"].to_numpy(zero_copy_only=False)

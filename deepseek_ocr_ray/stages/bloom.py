@@ -120,7 +120,6 @@ def bloom_semi_join(
     m_bits: int = DEFAULT_M_BITS,
     k: int = DEFAULT_K,
     exact: bool = True,
-    approx_bytes: int | None = None,
 ) -> ray.data.Dataset:
     """EXACT semi-join with a Bloom prefilter on the left scan.
 
@@ -163,7 +162,6 @@ def bloom_semi_join(
         right_on=right_on,
         join_type="left_semi",
         left_cols=left_cols,
-        approx_bytes=approx_bytes,
         right_types={right_on: _col_type(right, right_on)},
     )
 

@@ -47,7 +47,7 @@ import ray.data
 from ray.data.aggregate import Count, Min
 
 from ..arrays import ints_to_numpy, list_to_matrix
-from ..cluster import equi_join, join_partitions
+from ..cluster import equi_join
 from ..functions.text_stats import md5_fingerprints
 from ..hashing import id_bucket_array, mix64, splitmix_bucket
 
@@ -777,20 +777,10 @@ def incremental_minhash_dedup(
     # duplicate right keys are harmless to anti semantics.  right_types
     # covers the no-duplicates case (empty computed dataset → no schema).
     # The contaminated set is near-dup ids only — usually a small fraction
-    # of the crawl — so below the broadcast cap the anti join is a
-    # zero-exchange streaming filter over the new side; the count is free
-    # because the verify output has to materialize for the join anyway.
-    contaminated = (
-        rows.groupby("lsh_group")
-        .map_groups(verify, batch_format="pyarrow")
-        .materialize()
-    )
-    from ..cluster import BROADCAST_MAX_BYTES
-
-    strategy = (
-        "broadcast"
-        if contaminated.count() * 16 <= BROADCAST_MAX_BYTES // 4
-        else "auto"
+    # of the crawl — so the planner normally broadcasts it and the anti
+    # join is a zero-exchange streaming filter over the new side.
+    contaminated = rows.groupby("lsh_group").map_groups(
+        verify, batch_format="pyarrow"
     )
     return equi_join(
         new_ds.select_columns([id_col]),
@@ -800,7 +790,6 @@ def incremental_minhash_dedup(
         join_type="left_anti",
         left_cols=[id_col],
         right_types={"nid": id_type},
-        strategy=strategy,
     )
 
 
@@ -831,13 +820,13 @@ def ngram_jaccard_dedup(
 
     - ``verify="join"`` (default) — bucket rows carry NO payload; buckets
       emit distinct candidate pairs, texts are joined back by id
-      (``Dataset.join``), pairs verify vectorized, and kept ids come from a
-      left-anti join.  Text moves once per candidate pair instead of once
+      (``cluster.equi_join``), pairs verify vectorized, and kept ids come
+      from a left-anti join.  Text moves once per candidate pair instead of once
       per band row — the 10^12-row plan.  Within it, ``pair_plan``
       selects the verify route: ``"auto"`` (default) verifies on the
       DRIVER when the materialized candidate-pair count is at most
       ``local_max_pairs`` and the needed texts stream in under
-      ``local_max_bytes`` (both text joins and their aggregator pools
+      ``local_max_bytes`` (both text joins and their exchanges
       disappear), falling back to ``"distributed"`` (the join route)
       otherwise; ``"local"`` forces the driver attempt.
     - ``verify="carry"`` — texts ride along in the bucket rows
@@ -847,10 +836,10 @@ def ngram_jaccard_dedup(
       ``pair_plan`` does not apply (must stay ``"auto"``).
     """
     if verify == "join":
-        # the join plan holds the signature pool AND two aggregator pools
-        # concurrently — drop the signature pool's minimum to 1 so small
-        # clusters (4 CPUs) keep a free slot for task stages (a min-2 pool
-        # plus two joins deadlocked the streaming executor there)
+        # the join plan runs the signature pool alongside two text joins —
+        # drop the signature pool's minimum to 1 so small clusters (4 CPUs)
+        # keep a free slot for task stages (a min-2 pool plus two joins
+        # deadlocked the streaming executor there)
         _, hi = concurrency if isinstance(concurrency, tuple) else (1, concurrency)
         return _ngram_dedup_verify_join(
             ds,
@@ -1056,17 +1045,15 @@ def _ngram_dedup_verify_join(
 
     Every exchange moves ids or candidate pairs — document text moves
     exactly once per (pair, side) instead of ×bands per document.
-    Join partitions cap at 8 (two concurrent joins + an actor pool; see
-    ``ngram_jaccard_dedup``).
 
-    All three joins ride ``cluster.equi_join``, which owns the Ray 2.49
-    empty-first-block schema-broadcast hardening (anchor sentinels on the
-    hash path, a tested ``bucket_join`` fallback if the broadcast is lost
-    anyway).  The only normalization left in this plan is typing the
-    schema-less zero-row blocks that empty groupby partitions emit, plus
-    fail-closed guards on malformed non-empty blocks.
+    All three joins ride ``cluster.equi_join``: each materializes its right
+    side once and either broadcasts it or exchanges both sides by key, so
+    no join depends on Ray's hash-shuffle schema broadcast.  The only
+    normalization left in this plan is typing the schema-less zero-row
+    blocks that empty groupby partitions emit (the joins take explicit
+    ``left_types``), plus fail-closed guards on malformed non-empty
+    blocks.
     """
-    jp = join_partitions(cap=8)
     band_rows = ds.map_batches(
         MinHashBandStage,
         fn_constructor_kwargs=dict(
@@ -1126,7 +1113,7 @@ def _ngram_dedup_verify_join(
     texts = ds.select_columns([id_col, text_col])
 
     # ---- plan selection: below the pair budget the two text joins (and
-    # their aggregator pools) are pure overhead — collect the bounded
+    # their exchanges) are pure overhead — collect the bounded
     # pair set, fetch ONLY the needed texts through one broadcast-filter
     # scan (byte-budgeted, falls back if a pathological corpus blows it)
     # and verify on the driver.  ``auto`` picks by the materialized pair
@@ -1154,10 +1141,7 @@ def _ngram_dedup_verify_join(
                 return kept
         distinct_pairs = pairs_mat
 
-    # joins 3-4 ride the engine planner: schema anchoring, sentinel
-    # filtering and the bucket_join fallback on a lost schema broadcast are
-    # equi_join's problem now, not this plan's (the old matching-sentinel
-    # machinery that threaded a fake pair through both joins is gone)
+    # joins 3-4 ride the engine planner (broadcast or keyed exchange);
     # the candidate stream can be legitimately EMPTY (no-collision
     # corpus) — Dataset.schema() is None then, so the pair-side types are
     # declared explicitly
@@ -1171,7 +1155,6 @@ def _ngram_dedup_verify_join(
         join_type="inner",
         left_cols=["a_id", "b_id"],
         right_cols=[text_col],
-        num_partitions=jp,
         left_types=_pair_types,
     ).rename_columns({text_col: "b_text"})
 
@@ -1183,7 +1166,6 @@ def _ngram_dedup_verify_join(
         join_type="inner",
         left_cols=["a_id", "b_id", "b_text"],
         right_cols=[text_col],
-        num_partitions=jp,
         left_types={**_pair_types, "b_text": _text_t},
     )
 
@@ -1239,8 +1221,8 @@ def _ngram_dedup_verify_join(
     # corpus.  Materialize it (it is already aggregated to one row per
     # dropped id; the object store spills if a pathological corpus makes it
     # big) and pick the anti plan by its actual size: a broadcast np.isin
-    # filter below the threshold (saves a whole join operator + its
-    # aggregator pool), the planner's distributed anti-join above it.
+    # filter below the threshold (saves a whole join operator), the
+    # planner's anti-join above it.
     dropped_mat = dropped.materialize()
     if dropped_mat.count() <= drop_broadcast_threshold:
         drop_ids = np.array(
@@ -1265,7 +1247,6 @@ def _ngram_dedup_verify_join(
         on=id_col,
         join_type="left_anti",
         left_cols=[id_col],
-        num_partitions=jp,
         right_types={id_col: pa.int64(), "__drop_n": pa.int64()},
     )
 

@@ -236,7 +236,6 @@ def pagerank_int(
     num_iters: int = 3,
     scale: int = 1_000_000,
     damping_pct: int = 85,
-    approx_bytes: int | None = None,
     assume_symmetric: bool = False,
     strategy: str = "auto",
     local_threshold: int = LOCAL_CC_THRESHOLD,
@@ -271,8 +270,8 @@ def pagerank_int(
     no separate degree aggregation, no edges ⋈ outdeg join.  The rank
     table inits from per-block distinct sources of that result (sources
     never split across buckets).  A round is one ``ranks ⋈ edges`` join
-    (broadcast below the plasma cap, hash exchange above — the same
-    auto-select convention as the dedup/CC operators) plus one
+    (the planner broadcasts the rank table below the plasma cap and
+    exchanges it by key above) plus one
     coarse-bucket sum.  Skew note: bucketing by source sends a
     celebrity node's whole adjacency to one bucket — at 64+ buckets this
     bounds skew to max-degree/total-edges, the usual salting candidate.
@@ -380,10 +379,6 @@ def pagerank_int(
         .map_groups(fin, batch_format="pyarrow")
         .materialize()
     )
-    # exact volume for the per-round joins: the static joined edge list
-    # (3 int64 columns) dominates the rank side
-    round_bytes = edges_deg.count() * 24
-
     # block-local distinct src == globally distinct: each source's run is
     # confined to one bucket (and bucket groups are never split mid-run)
     def block_nodes(batch: pa.Table) -> pa.Table:
@@ -423,36 +418,19 @@ def pagerank_int(
 
     ranks = node_ds.map_batches(init_rank, batch_format="pyarrow")
 
-    # below the broadcast cap the rank table (16 B/node) ships once to
-    # plasma per round and the join is a zero-exchange streaming map over
-    # the static edge list; above it (web-scale node counts) every round
-    # is a hash exchange — same auto-select convention as the dedup/CC
-    # operators, and both plans share every other code path
-    from ..cluster import BROADCAST_MAX_BYTES
-
-    small_ranks = n_nodes * 16 <= BROADCAST_MAX_BYTES // 4
-
+    # the rank table (16 B/node) is the planner's right side: below the
+    # broadcast cap it ships once to plasma per round and the join is a
+    # zero-exchange streaming map over the static edge list; above it
+    # (web-scale node counts) every round is a keyed exchange
     for _ in range(num_iters):
-        if small_ranks:
-            joined = equi_join(
-                edges_deg,
-                ranks,
-                on=src_col,
-                right_on="node",
-                left_cols=[dst_col, "deg"],
-                right_cols=["r"],
-                strategy="broadcast",
-            )
-        else:
-            joined = equi_join(
-                ranks,
-                edges_deg,
-                on="node",
-                right_on=src_col,
-                left_cols=["r"],
-                right_cols=[dst_col, "deg"],
-                approx_bytes=round_bytes,
-            )
+        joined = equi_join(
+            edges_deg,
+            ranks,
+            on=src_col,
+            right_on="node",
+            left_cols=[dst_col, "deg"],
+            right_cols=["r"],
+        )
 
         def shares(batch: pa.Table) -> pa.Table:
             r = batch["r"].to_numpy(zero_copy_only=False)

@@ -316,7 +316,7 @@ def range_join(
 
 
 # ---------------------------------------------------------------------------
-# bucketed equi-join (the engine-owned fallback to Dataset.join)
+# bucketed equi-join (the planner's keyed-exchange plan)
 # ---------------------------------------------------------------------------
 
 
@@ -350,22 +350,19 @@ def bucket_join(
     key_out: str | None = None,
 ) -> ray.data.Dataset:
     """Distributed equi-join built ONLY on groupby + per-group pyarrow
-    acero joins — the engine-owned alternative to ``Dataset.join``.
+    acero joins — the keyed-exchange plan of ``cluster.equi_join``, used
+    whenever the right side is too large to broadcast.
 
-    Why it exists: Ray 2.49's hash-shuffle JoinOperator loses its one-shot
-    schema broadcast to an empty first block (crash) and reserves large
-    per-aggregator memory budgets (admission deadlock on small sessions).
-    The repo's default joins mitigate both (``cluster.anchor_join_input``,
-    ``JOIN_PARTITION_SIZE_HINT``), but the anchor is a scheduling-order
-    mitigation, not a guarantee — this operator has NEITHER failure mode:
-    groupby handles empty blocks, and the per-group C++ ``pa.Table.join``
-    needs no standing aggregator actors.
+    Ray's own ``Dataset.join`` is not used: its hash-shuffle JoinOperator
+    loses its one-shot schema broadcast to an empty first block (crash)
+    and reserves large per-aggregator memory budgets (admission deadlock
+    on small sessions).  This operator has neither failure mode: groupby
+    handles empty blocks, and the per-group C++ ``pa.Table.join`` needs no
+    standing aggregator actors.
 
     Plan: tag sides, bucket by a stable key hash (splitmix for ints, md5
     for strings), union, ONE keyed exchange (groupby bucket), then one
-    local acero join per coarse bucket.  Cost vs Dataset.join: the
-    exchange is Ray's sort-based shuffle (slower than the hash shuffle at
-    equal scale) — use this when robustness beats peak throughput.
+    local acero join per coarse bucket.
 
     ``how``: inner | left_outer | right_outer | full_outer | left_semi |
     left_anti.  The outer variants are exact here because bucketing by the

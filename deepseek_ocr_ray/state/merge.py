@@ -21,8 +21,8 @@ materialization:
    ships ONCE via ``ray.put`` — it is the small side by construction
    (a CDC batch against a 100-TB base); a change set past
    ``broadcast_max_bytes`` raises loudly with the escalation path
-   (hash-partition both sides by key with ``cluster.equi_join``'s
-   bucket plan and apply per bucket) named in the message;
+   (bucket both sides by the same key hash and apply per bucket) named
+   in the message;
 2. ONE streaming pass over base blocks masks out rows whose key is in
    the change set (``searchsorted`` probe, no per-row Python) — base
    rows move at most once and never cross the wire;
@@ -68,9 +68,8 @@ def merge_into(
     if ctbl.nbytes > broadcast_max_bytes:
         raise ValueError(
             f"change set is {ctbl.nbytes >> 20} MiB — past the "
-            f"{broadcast_max_bytes >> 20} MiB broadcast cap. Hash-partition "
-            "base and changes by key with cluster.equi_join(strategy="
-            "'bucket') and apply merge_into per bucket instead."
+            f"{broadcast_max_bytes >> 20} MiB broadcast cap. Bucket base "
+            "and changes by key and apply merge_into per bucket instead."
         )
     missing = [c for c in [key_col, op_col, *val_cols] if c not in ctbl.column_names]
     if missing:

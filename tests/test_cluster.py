@@ -1,76 +1,18 @@
-"""cluster.py helpers: join partition sizing and join-input anchoring."""
+"""cluster.py helpers: the equi_join planner, composite/salted joins and
+exchange sizing."""
 
 from __future__ import annotations
 
+import numpy as np
 import pyarrow as pa
+import pytest
 
 from deepseek_ocr_ray import cluster
-
-
-def test_join_partitions_scales_with_cluster(ray_session):
-    # 4-CPU test fixture → cpus//2 = 2
-    assert cluster.join_partitions() == 2
-    assert cluster.join_partitions(cap=1) == 2  # floor of 2 wins over cap
-    # cap binds on big clusters (simulate via the formula bounds)
-    assert 2 <= cluster.join_partitions(cap=8) <= 8
-
-
-def test_sentinels_are_distinct_and_out_of_domain():
-    assert cluster.JOIN_SENTINEL_L != cluster.JOIN_SENTINEL_R
-    assert cluster.JOIN_SENTINEL_L < 0 and cluster.JOIN_SENTINEL_R < 0
-
-
-def test_anchor_join_input_prepends_schema_block(ray_session):
-    import ray.data
-
-    empty = pa.table({"k": pa.array([], pa.int64())})
-    anchored = cluster.anchor_join_input(
-        ray.data.from_arrow(empty),
-        pa.table({"k": pa.array([cluster.JOIN_SENTINEL_L], pa.int64())}),
-    )
-    rows = anchored.take_all()
-    assert rows == [{"k": cluster.JOIN_SENTINEL_L}]
-
-
-def test_anchored_join_survives_fully_empty_computed_side(ray_session):
-    """The Ray 2.49 failure mode this exists for: a join whose computed
-    side is entirely empty must not crash the aggregators."""
-    import ray.data
-
-    left = cluster.anchor_join_input(
-        ray.data.from_arrow(pa.table({"k": pa.array([], pa.int64())})),
-        pa.table({"k": pa.array([cluster.JOIN_SENTINEL_L], pa.int64())}),
-    )
-    right = cluster.anchor_join_input(
-        ray.data.from_arrow(
-            pa.table(
-                {"k2": pa.array([], pa.int64()), "v": pa.array([], pa.int64())}
-            )
-        ),
-        pa.table(
-            {
-                "k2": pa.array([cluster.JOIN_SENTINEL_R], pa.int64()),
-                "v": pa.array([0], pa.int64()),
-            }
-        ),
-    )
-    out = left.join(
-        right,
-        join_type="inner",
-        num_partitions=2,
-        partition_size_hint=cluster.JOIN_PARTITION_SIZE_HINT,
-        on=("k",),
-        right_on=("k2",),
-    )
-    assert out.count() == 0  # L/R sentinels never match; no crash
 
 
 # ---------------------------------------------------------------------------
 # equi_join planner
 # ---------------------------------------------------------------------------
-
-import numpy as np
-import pytest
 
 
 def _planner_inputs():
@@ -116,17 +58,7 @@ def _naive(lrows, rrows, how):
     return sorted(out)
 
 
-@pytest.mark.parametrize("how", ["inner", "left_outer", "left_semi", "left_anti"])
-@pytest.mark.parametrize("strategy", ["hash", "bucket", "auto", "broadcast"])
-def test_equi_join_all_strategies_vs_naive(ray_session, how, strategy):
-    ltab, rtab, l, r = _planner_inputs()
-    got = cluster.equi_join(
-        l, r, on="k", right_on="rk", join_type=how,
-        left_cols=["k", "lv"],
-        right_cols=["rv"] if how in ("inner", "left_outer") else None,
-        strategy=strategy, n_buckets=8, num_partitions=2,
-    ).to_pandas()
-    want = _naive(ltab.to_pylist(), rtab.to_pylist(), how)
+def _assert_rows(got, want, how):
     if how in ("left_semi", "left_anti"):
         assert list(got.columns) == ["k", "lv"]
         assert sorted((v,) for v in got.lv.tolist()) == want
@@ -139,35 +71,100 @@ def test_equi_join_all_strategies_vs_naive(ray_session, how, strategy):
         assert gset == want
 
 
-def test_equi_join_auto_falls_back_on_forced_schema_race(ray_session, caplog):
-    """Deterministic fault injection: with anchors dropped and one side's
-    blocks ALL empty, Ray's hash join loses its one-shot schema broadcast
-    every time (ArrowInvalid at finalize).  The auto planner must catch it
-    and complete through bucket_join with the correct answer."""
-    import logging
+@pytest.fixture
+def bucket_calls(monkeypatch):
+    """Records every bucket_join call the planner makes."""
+    from deepseek_ocr_ray.stages import joins
+
+    calls = []
+    real = joins.bucket_join
+
+    def spy(*a, **kw):
+        calls.append(kw["how"])
+        return real(*a, **kw)
+
+    monkeypatch.setattr(joins, "bucket_join", spy)
+    return calls
+
+
+@pytest.mark.parametrize("how", ["inner", "left_outer", "left_semi", "left_anti"])
+@pytest.mark.parametrize("plan", ["broadcast", "oversized", "bucket"])
+def test_equi_join_planner_choice_vs_naive(
+    ray_session, monkeypatch, bucket_calls, how, plan
+):
+    """Below the cap the default plan broadcasts; with the cap at 0 the
+    same call falls back to the keyed exchange; ``strategy='bucket'``
+    always exchanges.  Every plan returns the naive join's rows."""
+    if plan == "oversized":
+        monkeypatch.setattr(cluster, "BROADCAST_MAX_BYTES", 0)
+    ltab, rtab, l, r = _planner_inputs()
+    got = cluster.equi_join(
+        l, r, on="k", right_on="rk", join_type=how,
+        left_cols=["k", "lv"],
+        right_cols=["rv"] if how in ("inner", "left_outer") else None,
+        strategy="bucket" if plan == "bucket" else None, n_buckets=8,
+    ).to_pandas()
+    assert bucket_calls == ([] if plan == "broadcast" else [how])
+    _assert_rows(got, _naive(ltab.to_pylist(), rtab.to_pylist(), how), how)
+
+
+@pytest.mark.parametrize("how", ["inner", "left_outer", "left_semi", "left_anti"])
+def test_equi_join_lazy_all_empty_right(ray_session, how):
+    """A computed right side whose every block is empty has no derivable
+    schema; with ``right_types`` the default plan joins it directly (this
+    input once lost Ray's hash-join schema broadcast)."""
+    ltab, rtab, l, _r = _planner_inputs()
+    import ray.data
+
+    empty_right = ray.data.from_arrow(rtab).repartition(3).map_batches(
+        lambda b: b.slice(0, 0), batch_format="pyarrow"
+    )
+    got = cluster.equi_join(
+        l, empty_right, on="k", right_on="rk", join_type=how,
+        left_cols=["k", "lv"],
+        right_cols=["rv"] if how in ("inner", "left_outer") else None,
+        right_types={"rk": pa.int64(), "rv": pa.int64()},
+    ).to_pandas()
+    want = _naive(ltab.to_pylist(), [], how)
+    if not want:
+        assert len(got) == 0
+    else:
+        _assert_rows(got, want, how)
+
+
+@pytest.mark.parametrize("plan", ["broadcast", "oversized"])
+def test_equi_join_executes_right_input_once(
+    ray_session, monkeypatch, tmp_path, plan
+):
+    """The default plan materializes the right input once and reads its
+    schema from the materialized blocks — no limit-1 schema probe, no
+    second execution, whichever plan it then picks."""
+    import os
+    import uuid
 
     import ray.data
 
-    ltab, _rtab, l, _r = _planner_inputs()
-    empty_right = ray.data.from_arrow(
-        pa.table({"rk": pa.array([], pa.int64()), "rv": pa.array([], pa.int64())})
-    )
+    if plan == "oversized":
+        monkeypatch.setattr(cluster, "BROADCAST_MAX_BYTES", 0)
+    marker_dir = str(tmp_path / "runs")
+    os.makedirs(marker_dir)
 
-    # the hash plan on these inputs genuinely dies without the fallback
-    with pytest.raises(Exception, match="No match|no match"):
-        cluster.equi_join(
-            l, empty_right, on="k", right_on="rk", join_type="left_anti",
-            strategy="hash", num_partitions=2, _drop_anchor=True,
-        ).materialize()
+    def touch(batch: pa.Table) -> pa.Table:
+        with open(os.path.join(marker_dir, uuid.uuid4().hex), "w"):
+            pass
+        return batch
 
-    with caplog.at_level(logging.WARNING, logger="deepseek_ocr_ray.cluster"):
-        got = cluster.equi_join(
-            l, empty_right, on="k", right_on="rk", join_type="left_anti",
-            strategy="auto", num_partitions=2, _drop_anchor=True,
-        ).to_pandas()
-    # anti vs an empty right side keeps every left row
-    assert sorted(got.lv.tolist()) == list(range(90))
-    assert any("re-planning through bucket_join" in r.message for r in caplog.records)
+    ltab, rtab, l, _r = _planner_inputs()
+    right = ray.data.from_arrow(rtab).map_batches(
+        touch, batch_format="pyarrow"
+    )  # one block -> one task per plan execution
+    got = cluster.equi_join(
+        l, right, on="k", right_on="rk", join_type="inner",
+        left_cols=["k", "lv"], right_cols=["rv"], n_buckets=8,
+    ).to_pandas()
+    want = _naive(ltab.to_pylist(), rtab.to_pylist(), "inner")
+    _assert_rows(got, want, "inner")
+    assert len(os.listdir(marker_dir)) == 1
 
 
 def test_equi_join_string_keys(ray_session):
@@ -189,25 +186,14 @@ def test_equi_join_string_keys(ray_session):
             }
         )
     )
-    for strategy in ("hash", "bucket"):
+    for strategy in (None, "bucket"):
         got = cluster.equi_join(
             l, r, on="name", join_type="left_outer",
-            strategy=strategy, num_partitions=2, n_buckets=4,
+            strategy=strategy, n_buckets=4,
         ).to_pandas()
         got = got.sort_values("lv")
         assert got.lv.tolist() == [1, 2, 3, 4]
         assert [None if v != v else int(v) for v in got.rv] == [10, None, None, 10]
-
-
-def test_join_partitions_for_bytes_grows_with_volume(ray_session):
-    small = cluster.join_partitions_for_bytes(1 << 20)
-    big = cluster.join_partitions_for_bytes(100 << 30)
-    assert small == 2
-    assert big >= small
-    # clamped to the CPU cap (4-CPU fixture → 2), never exceeds it
-    assert big <= cluster.join_partitions()
-    # no estimate → CPU sizing
-    assert cluster.join_partitions_for_bytes(None) == cluster.join_partitions()
 
 
 # --------------------------------------------------------------------------
@@ -263,7 +249,6 @@ def test_equi_join_multi_vs_naive(ray_session):
         right_on=["r_uid", "r_day"],
         left_cols=["lv"],
         right_cols=["rv"],
-        num_partitions=2,
     ).to_pandas()
     assert list(got.columns) == ["uid", "day", "lv", "rv"]
     rows = sorted(map(tuple, got.itertuples(index=False)))
@@ -288,7 +273,6 @@ def test_equi_join_multi_drops_hash_collisions(ray_session, monkeypatch):
         right_on=["r_uid", "r_day"],
         left_cols=["lv"],
         right_cols=["rv"],
-        num_partitions=2,
     ).to_pandas()
     rows = sorted(map(tuple, got.itertuples(index=False)))
     assert rows == _naive_multi(ltab, rtab)
@@ -311,18 +295,21 @@ def test_equi_join_multi_validation(ray_session):
         cluster.equi_join_multi(l, r, on=["uid", "day"], right_on=["r_uid"])
 
 
-def test_equi_join_broadcast_guards(ray_session):
-    _ltab, _rtab, l, r = _planner_inputs()
-    with pytest.raises(ValueError, match="right key is coalesced"):
-        cluster.equi_join(
-            l, r, on="k", right_on="rk", join_type="inner",
-            right_cols=["rk", "rv"], strategy="broadcast",
-        )
-    with pytest.raises(ValueError, match="MiB cap"):
-        cluster.equi_join(
-            l, r, on="k", right_on="rk", join_type="inner",
-            strategy="broadcast", broadcast_max_bytes=8,
-        )
+def test_equi_join_right_key_in_right_cols_takes_bucket_plan(
+    ray_session, bucket_calls
+):
+    """The local broadcast join coalesces the right key into the left
+    one, so a call that lists the right key in ``right_cols`` goes through
+    the keyed exchange, which keeps both key columns."""
+    ltab, rtab, l, r = _planner_inputs()
+    got = cluster.equi_join(
+        l, r, on="k", right_on="rk", join_type="inner",
+        left_cols=["k", "lv"], right_cols=["rk", "rv"], n_buckets=8,
+    ).to_pandas()
+    assert bucket_calls == ["inner"]
+    assert (got.k == got.rk).all()
+    want = _naive(ltab.to_pylist(), rtab.to_pylist(), "inner")
+    assert sorted(zip(got.lv.tolist(), got.rv.tolist())) == want
 
 
 def test_equi_join_broadcast_empty_right(ray_session):
@@ -334,7 +321,6 @@ def test_equi_join_broadcast_empty_right(ray_session):
     )
     got = cluster.equi_join(
         l, empty_right, on="k", right_on="rk", join_type="left_anti",
-        strategy="broadcast",
     ).to_pandas()
     assert sorted(got.lv.tolist()) == list(range(90))
 

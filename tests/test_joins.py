@@ -515,7 +515,6 @@ def test_equi_join_routes_outer_to_bucket(ray_session):
         equi_join(
             left, right, on="k", join_type="inner",
             left_cols=["lv"], right_cols=["rv"], key_out="k",
-            strategy="hash",
         )
 
 

@@ -489,16 +489,19 @@ def test_q18_empty_survivors(ray_session):
     assert len(out) == 0
 
 
-def test_q18_bucket_strategy_equal(ray_session):
-    """The keyed-exchange escalation (survivor set too big to broadcast)
+def test_q18_bucket_strategy_equal(ray_session, monkeypatch):
+    """The keyed-exchange fallback (survivor set too big to broadcast)
     must return exactly the broadcast plan's rows."""
+    from deepseek_ocr_ray import cluster
+
     a = (
         analytics.q18_big_orders(SF_SMALL)
         .to_pandas()
         .reset_index(drop=True)
     )
+    monkeypatch.setattr(cluster, "BROADCAST_MAX_BYTES", 0)
     b = (
-        analytics.q18_big_orders(SF_SMALL, survivor_strategy="bucket")
+        analytics.q18_big_orders(SF_SMALL)
         .to_pandas()
         .reset_index(drop=True)
     )
