@@ -90,16 +90,22 @@ def table_file_bytes(sf_dir: str, *names: str) -> int:
 
 
 def _side_schema(
-    ds: "ray.data.Dataset", override: dict | None, side: str
-) -> dict[str, pa.DataType]:
+    ds: "ray.data.Dataset", override: dict | None, side: str, fetch: bool = True
+) -> dict[str, pa.DataType] | None:
     """Column→type map for one join input.  ``Dataset.schema()`` is None
     for a computed dataset that turns out empty (e.g. a no-duplicates
     candidate stream) — callers joining such inputs pass the types
-    explicitly via ``left_types`` / ``right_types``."""
+    explicitly via ``left_types`` / ``right_types``.
+
+    ``fetch=False`` returns None instead of executing: on a lazy mapped
+    input ``Dataset.schema()`` runs a limit-1 pass of the upstream plan
+    and cancels its in-flight tasks."""
     if override is not None:
         return dict(override)
-    sch = ds.schema()
+    sch = ds.schema(fetch_if_missing=fetch)
     if sch is None:
+        if not fetch:
+            return None
         raise ValueError(
             f"equi_join: {side} input has no derivable schema (empty "
             f"computed dataset?) — pass {side}_types={{col: pa.DataType}}"
@@ -148,6 +154,10 @@ def equi_join(
       exchange of both sides, then a per-bucket acero join) over the
       already-materialized right side.
 
+    The left input is never probed when ``left_cols`` is given: the
+    broadcast plan takes its column types from each batch (or from
+    ``left_types``).
+
     ``strategy="bucket"`` skips the materialization and always runs the
     keyed exchange lazily — for callers whose right side is corpus-sized.
     ``right_outer`` / ``full_outer`` joins and ``key_out`` (the COALESCE'd
@@ -171,7 +181,9 @@ def equi_join(
     if strategy is None:
         right = right.materialize()
 
-    l_schema = _side_schema(left, left_types, "left")
+    # the left schema is read without executing unless the default
+    # left_cols need it; the bucket plan probes it itself if still unknown
+    l_schema = _side_schema(left, left_types, "left", fetch=left_cols is None)
     r_schema = _side_schema(right, right_types, "right")
     lcols = left_cols if left_cols is not None else list(l_schema)
     rcols = (
@@ -224,9 +236,7 @@ def equi_join(
     }[join_type]
     lsel = list(dict.fromkeys(lcols + [on]))
     out_cols = lcols + rcols
-    cast_schema = pa.schema(
-        [(c, l_schema[c]) for c in lcols] + [(c, r_schema[c]) for c in rcols]
-    )
+    r_fields = [(c, r_schema[c]) for c in rcols]
 
     def bcast_join(batch: pa.Table) -> pa.Table:
         r = ray.get(rref)
@@ -235,8 +245,11 @@ def equi_join(
             keys=[on],
             right_keys=[r_on],
             join_type=how_arrow,
+        ).select(out_cols)
+        l_types = l_schema or {c: joined.schema.field(c).type for c in lcols}
+        return joined.cast(
+            pa.schema([(c, l_types[c]) for c in lcols] + r_fields)
         )
-        return joined.select(out_cols).cast(cast_schema)
 
     return left.map_batches(bcast_join, batch_format="pyarrow")
 
@@ -291,13 +304,12 @@ def equi_join_multi(
 
         return fn
 
-    l_schema = left.schema().base_schema
-    lcols = left_cols if left_cols is not None else list(l_schema.names)
-    r_schema = right.schema().base_schema
+    # probe a side's schema only for its default column list
+    lcols = left_cols if left_cols is not None else list(left.schema().names)
     rcols = (
         right_cols
         if right_cols is not None
-        else [c for c in r_schema.names if c not in r_on]
+        else [c for c in right.schema().names if c not in r_on]
     )
     rk_alias = {k: f"__rk{i}" for i, k in enumerate(r_on)}
 

@@ -34,6 +34,17 @@ from ..hashing import hash64_columns
 AGG_FNS = ("sum", "min", "max", "count", "mean")
 
 
+def _check_sum_type(schema: pa.Schema, col: str | None, fn: str) -> None:
+    if fn not in ("sum", "mean"):
+        return
+    typ = schema.field(col).type
+    if not (pa.types.is_integer(typ) or pa.types.is_boolean(typ)):
+        raise ValueError(
+            f"{fn}({col}): float sums are block-order-dependent — "
+            "scale to integers (e.g. cents) first"
+        )
+
+
 def bucket_groupby_agg(
     ds: ray.data.Dataset,
     keys: list[str],
@@ -52,10 +63,12 @@ def bucket_groupby_agg(
     """
     if not aggs:
         raise ValueError("nothing to aggregate")
-    # a COMPUTED all-empty stream has no schema (Dataset.schema() is None
-    # on Ray 2.49) — the float-sum validation below is then unavailable;
-    # the aggregate itself is still correct on the typed empty
-    sch = ds.schema()
+    # validate against the schema only when the plan knows it without
+    # executing (sources, materialized inputs): on a lazy mapped input
+    # ``Dataset.schema()`` runs a limit-1 pass of the whole upstream plan
+    # and cancels its in-flight tasks.  Otherwise the partial pass checks
+    # the column types of each batch it sees.
+    sch = ds.schema(fetch_if_missing=False)
     base = sch.base_schema if sch is not None else None
     if base is not None and not isinstance(base, pa.Schema):
         # pandas-block dataset: numpy dtypes ride in schema.types
@@ -75,19 +88,15 @@ def bucket_groupby_agg(
         if out in seen:
             raise ValueError(f"duplicate output column {out!r}")
         seen.add(out)
-        if fn != "count" and base is not None:
-            typ = base.field(col).type
-            if fn in ("sum", "mean") and not (
-                pa.types.is_integer(typ) or pa.types.is_boolean(typ)
-            ):
-                raise ValueError(
-                    f"{fn}({col}): float sums are block-order-dependent — "
-                    "scale to integers (e.g. cents) first"
-                )
+        if base is not None:
+            _check_sum_type(base, col, fn)
 
     # the unique set of Arrow kernels the partial pass needs (dedup so
     # e.g. count + mean don't emit two colliding count_all columns)
     def partial(batch: pa.Table) -> pa.Table:
+        if base is None and batch.num_rows:
+            for col, fn, _out in aggs:
+                _check_sum_type(batch.schema, col, fn)
         arrow_aggs: list = []
         for col, fn, out in aggs:
             if fn == "count" or fn == "mean":

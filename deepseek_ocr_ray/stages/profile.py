@@ -292,14 +292,24 @@ def _side_value_counts(
 
     if len(sides) != 2 or sides[0] == sides[1]:
         raise ValueError(f"sides must be two distinct labels, got {sides!r}")
-    schema = ds.schema().base_schema
-    if not pa.types.is_integer(schema.field(value_col).type):
-        raise ValueError(
-            f"{value_col!r} must be integer (got "
-            f"{schema.field(value_col).type}) — quantize to cents/ppm"
-        )
+
+    def check_type(schema: pa.Schema) -> None:
+        if not pa.types.is_integer(schema.field(value_col).type):
+            raise ValueError(
+                f"{value_col!r} must be integer (got "
+                f"{schema.field(value_col).type}) — quantize to cents/ppm"
+            )
+
+    # check at plan time only when that executes nothing (a lazy mapped
+    # input would run a limit-1 pass); otherwise check each batch
+    sch = ds.schema(fetch_if_missing=False)
+    check_batches = sch is None
+    if not check_batches:
+        check_type(sch.base_schema)
 
     def prep(batch: pa.Table) -> pa.Table:
+        if check_batches and batch.num_rows:
+            check_type(batch.schema)
         side = batch[side_col]
         m1 = pc.equal(side, sides[0])
         m2 = pc.equal(side, sides[1])

@@ -23,3 +23,23 @@ def ray_session():
     ctx.enable_progress_bars = False
     yield
     ray.shutdown()
+
+
+@pytest.fixture
+def run_marker(tmp_path):
+    """A pass-through pyarrow UDF that leaves one file per task it runs
+    in, and a counter of those files — counts how often a plan executes."""
+    import os
+    import uuid
+
+    import pyarrow as pa
+
+    marker_dir = str(tmp_path / "runs")
+    os.makedirs(marker_dir)
+
+    def touch(batch: pa.Table) -> pa.Table:
+        with open(os.path.join(marker_dir, uuid.uuid4().hex), "w"):
+            pass
+        return batch
+
+    return touch, lambda: len(os.listdir(marker_dir))

@@ -140,6 +140,41 @@ def test_bucket_groupby_agg_rejects_float_sum(ray_session):
         )
 
 
+def test_bucket_groupby_agg_executes_lazy_input_once(ray_session, run_marker):
+    """Planning the aggregate over a lazy mapped input runs nothing (no
+    schema probe); consuming it runs the input's plan exactly once."""
+    from deepseek_ocr_ray.stages.agg import bucket_groupby_agg
+
+    touch, runs = run_marker
+    tab = _tab(n=400)
+    lazy = ray.data.from_arrow(tab).map_batches(touch, batch_format="pyarrow")
+    out = bucket_groupby_agg(
+        lazy, ["g", "s"], [(None, "count", "n"), ("v", "sum", "sv")],
+        n_buckets=4,
+    )
+    assert runs() == 0
+    got = {(r["g"], r["s"]): (r["n"], r["sv"]) for r in out.take_all()}
+    assert got == _naive(tab)
+    assert runs() == 1
+
+
+def test_bucket_groupby_agg_rejects_float_sum_on_lazy_input(ray_session):
+    """Where the plan cannot name its column types without executing,
+    the float-sum check runs on the batches instead of at plan time (the
+    ValueError then reaches the caller wrapped in Ray's task error)."""
+    from deepseek_ocr_ray.stages.agg import bucket_groupby_agg
+
+    lazy = ray.data.from_arrow(
+        pa.table({"g": pa.array([1, 1], pa.int64()), "x": pa.array([1, 3], pa.int64())})
+    ).map_batches(
+        lambda b: b.set_column(1, "x", pa.compute.divide(b["x"].cast(pa.float64()), 2.0)),
+        batch_format="pyarrow",
+    )
+    out = bucket_groupby_agg(lazy, ["g"], [("x", "mean", "mx")])
+    with pytest.raises(Exception, match="block-order-dependent"):
+        out.take_all()
+
+
 def _quantile_naive(pairs, q):
     """DuckDB quantile_disc: the smallest value whose CDF reaches q —
     sorted index ceil(q·n) − 1, clamped to 0 (probed against DuckDB

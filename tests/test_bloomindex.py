@@ -11,6 +11,7 @@ import pyarrow.parquet as pq
 import pytest
 import ray
 
+from deepseek_ocr_ray.cluster import arrow_block_refs
 from deepseek_ocr_ray.state.bloomindex import (
     build_bloom_index,
     pruned_files,
@@ -64,7 +65,7 @@ def test_scan_exact_vs_brute(ray_session, tmp_path):
         # columns on an ALL-EMPTY dataset (the engine's typed-empty
         # convention — schemas are pinned at the Arrow level)
         got = pa.concat_tables(
-            ray.get(scan_pruned_eq(d, "k", val).to_arrow_refs()),
+            ray.get(arrow_block_refs(scan_pruned_eq(d, "k", val))),
             promote_options="default",
         )
         want = full[full["k"] == val]

@@ -134,25 +134,16 @@ def test_equi_join_lazy_all_empty_right(ray_session, how):
 
 @pytest.mark.parametrize("plan", ["broadcast", "oversized"])
 def test_equi_join_executes_right_input_once(
-    ray_session, monkeypatch, tmp_path, plan
+    ray_session, monkeypatch, run_marker, plan
 ):
     """The default plan materializes the right input once and reads its
     schema from the materialized blocks — no limit-1 schema probe, no
     second execution, whichever plan it then picks."""
-    import os
-    import uuid
-
     import ray.data
 
     if plan == "oversized":
         monkeypatch.setattr(cluster, "BROADCAST_MAX_BYTES", 0)
-    marker_dir = str(tmp_path / "runs")
-    os.makedirs(marker_dir)
-
-    def touch(batch: pa.Table) -> pa.Table:
-        with open(os.path.join(marker_dir, uuid.uuid4().hex), "w"):
-            pass
-        return batch
+    touch, runs = run_marker
 
     ltab, rtab, l, _r = _planner_inputs()
     right = ray.data.from_arrow(rtab).map_batches(
@@ -164,7 +155,7 @@ def test_equi_join_executes_right_input_once(
     ).to_pandas()
     want = _naive(ltab.to_pylist(), rtab.to_pylist(), "inner")
     _assert_rows(got, want, "inner")
-    assert len(os.listdir(marker_dir)) == 1
+    assert runs() == 1
 
 
 def test_equi_join_string_keys(ray_session):
@@ -194,6 +185,124 @@ def test_equi_join_string_keys(ray_session):
         got = got.sort_values("lv")
         assert got.lv.tolist() == [1, 2, 3, 4]
         assert [None if v != v else int(v) for v in got.rv] == [10, None, None, 10]
+
+
+@pytest.mark.parametrize("edge", ["at_cap", "over_cap"])
+def test_equi_join_cap_is_inclusive_and_read_at_call_time(
+    ray_session, monkeypatch, bucket_calls, edge
+):
+    """A right side of exactly ``BROADCAST_MAX_BYTES`` still broadcasts;
+    one byte over takes the keyed exchange.  The cap is read per call, so
+    patching the module constant moves the boundary."""
+    ltab, rtab, l, r = _planner_inputs()
+    size = r.materialize().size_bytes()
+    assert size > 0
+    monkeypatch.setattr(
+        cluster, "BROADCAST_MAX_BYTES", size if edge == "at_cap" else size - 1
+    )
+    got = cluster.equi_join(
+        l, r, on="k", right_on="rk", join_type="inner",
+        left_cols=["k", "lv"], right_cols=["rv"], n_buckets=8,
+    ).to_pandas()
+    assert bucket_calls == ([] if edge == "at_cap" else ["inner"])
+    _assert_rows(got, _naive(ltab.to_pylist(), rtab.to_pylist(), "inner"), "inner")
+
+
+@pytest.mark.parametrize("strategy", [None, "bucket"])
+def test_equi_join_right_execution_at_plan_time(
+    ray_session, run_marker, strategy
+):
+    """The default plan executes the right input once while planning (to
+    size it); ``strategy='bucket'`` keeps it lazy until the join output is
+    consumed.  Either way it runs exactly once in total."""
+    import ray.data
+
+    touch, runs = run_marker
+
+    ltab, rtab, l, _r = _planner_inputs()
+    right = ray.data.from_arrow(rtab).map_batches(
+        touch, batch_format="pyarrow"
+    )  # one block -> one task per plan execution
+    joined = cluster.equi_join(
+        l, right, on="k", right_on="rk", join_type="inner",
+        left_cols=["k", "lv"], right_cols=["rv"], n_buckets=8,
+        strategy=strategy,
+        left_types={"k": pa.int64(), "lv": pa.int64()},
+        right_types={"rk": pa.int64(), "rv": pa.int64()},
+    )
+    assert runs() == (1 if strategy is None else 0)
+    got = joined.to_pandas()
+    _assert_rows(got, _naive(ltab.to_pylist(), rtab.to_pylist(), "inner"), "inner")
+    assert runs() == 1
+
+
+@pytest.mark.parametrize("how", ["inner", "left_outer", "left_semi", "left_anti"])
+@pytest.mark.parametrize("plan", ["broadcast", "oversized"])
+def test_equi_join_null_keys_never_match(ray_session, monkeypatch, how, plan):
+    """SQL equality: a null key matches nothing, not even a null key on the
+    other side — under both plans the planner can pick."""
+    import ray.data
+
+    if plan == "oversized":
+        monkeypatch.setattr(cluster, "BROADCAST_MAX_BYTES", 0)
+    lrows = [{"k": k, "lv": i} for i, k in enumerate([1, None, 2, None, 3, 1])]
+    rrows = [{"rk": k, "rv": 100 + i} for i, k in enumerate([1, None, 3, 4])]
+    l = ray.data.from_arrow(
+        pa.Table.from_pylist(lrows, pa.schema([("k", pa.int64()), ("lv", pa.int64())]))
+    ).repartition(2)
+    r = ray.data.from_arrow(
+        pa.Table.from_pylist(rrows, pa.schema([("rk", pa.int64()), ("rv", pa.int64())]))
+    ).repartition(2)
+    got = cluster.equi_join(
+        l, r, on="k", right_on="rk", join_type=how,
+        left_cols=["k", "lv"],
+        right_cols=["rv"] if how in ("inner", "left_outer") else None,
+        n_buckets=4,
+    ).to_pandas()
+    # a None key compares equal to nothing in the naive reference
+    rnonnull = [r_ for r_ in rrows if r_["rk"] is not None]
+    want = _naive(
+        [dict(l_, k=l_["k"] if l_["k"] is not None else object()) for l_ in lrows],
+        rnonnull,
+        how,
+    )
+    if not want:
+        assert len(got) == 0
+    else:
+        _assert_rows(got, want, how)
+
+
+def test_equi_join_broadcast_never_probes_lazy_left(ray_session, run_marker):
+    """With ``left_cols`` given, the broadcast plan takes the left column
+    types from each batch: planning runs nothing on the lazy left input
+    and the join runs its plan exactly once."""
+    import ray.data
+
+    touch, runs = run_marker
+
+    ltab, rtab, _l, r = _planner_inputs()
+    left = ray.data.from_arrow(ltab).map_batches(touch, batch_format="pyarrow")
+    joined = cluster.equi_join(
+        left, r, on="k", right_on="rk", join_type="left_outer",
+        left_cols=["k", "lv"], right_cols=["rv"],
+    )
+    assert runs() == 0
+    joined = joined.materialize()
+    assert runs() == 1
+    assert joined.schema().base_schema == pa.schema(
+        [("k", pa.int64()), ("lv", pa.int64()), ("rv", pa.int64())]
+    )
+    want = _naive(ltab.to_pylist(), rtab.to_pylist(), "left_outer")
+    _assert_rows(joined.to_pandas(), want, "left_outer")
+
+
+@pytest.mark.parametrize("strategy", ["hash", "auto", "broadcast"])
+def test_equi_join_rejects_removed_strategies(ray_session, strategy):
+    """Only the default planner and ``'bucket'`` exist; a stale strategy
+    name fails before any plan runs instead of silently picking one."""
+    _ltab, _rtab, l, r = _planner_inputs()
+    with pytest.raises(AssertionError, match=strategy):
+        cluster.equi_join(l, r, on="k", right_on="rk", strategy=strategy)
 
 
 # --------------------------------------------------------------------------
@@ -422,31 +531,22 @@ def test_extract_resolves_buckets_from_metadata(ray_session):
     assert _resolve_assembly_buckets(ds, 5) == 5
 
 
-def test_collect_table_executes_plan_exactly_once(ray_session, tmp_path):
+def test_collect_table_executes_plan_exactly_once(ray_session, run_marker):
     """Ray 2.49's lazy ``to_arrow_refs`` follows execution with a
     ``schema(fetch_if_missing=True)`` limit-1 probe — a SECOND run of
     the whole plan (side effects included; the round-4 export_shards
     resume flake).  ``collect_table``/``arrow_block_refs`` must execute
     the plan exactly once."""
-    import os
-    import uuid
-
     import pyarrow as pa
     import ray.data
 
     from deepseek_ocr_ray.cluster import collect_table
 
-    marker_dir = str(tmp_path / "runs")
-    os.makedirs(marker_dir)
-
-    def touch(batch: pa.Table) -> pa.Table:
-        with open(os.path.join(marker_dir, uuid.uuid4().hex), "w"):
-            pass
-        return batch
+    touch, runs = run_marker
 
     ds = ray.data.from_arrow(
         pa.table({"x": pa.array(list(range(100)), pa.int64())})
     )  # one block -> one task per plan execution
     out = collect_table(ds.map_batches(touch, batch_format="pyarrow"))
     assert out.num_rows == 100
-    assert len(os.listdir(marker_dir)) == 1  # 2 = the schema-probe re-run
+    assert runs() == 1  # 2 = the schema-probe re-run

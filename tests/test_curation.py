@@ -375,14 +375,10 @@ def test_curation_ops_block_invariant(ray_session, qname, monkeypatch):
             return real_read(sf_dir, name, columns=columns).repartition(_b)
 
         monkeypatch.setattr(curation, "read_table", read_override)
-        df = (
-            fn(SF)
-            .to_pandas()
-            .sort_values(
-                [c for c in ("doc_id", "vec_id", "epoch") if c in fn(SF).columns()]
-            )
-            .reset_index(drop=True)
-        )
+        df = fn(SF).to_pandas()
+        df = df.sort_values(
+            [c for c in ("doc_id", "vec_id", "epoch") if c in df.columns]
+        ).reset_index(drop=True)
         outs.append(df)
     monkeypatch.setattr(curation, "read_table", real_read)
     assert outs[0].equals(outs[1]), f"{qname} depends on block structure"

@@ -10,6 +10,7 @@ import pyarrow as pa
 import pytest
 import ray
 
+from deepseek_ocr_ray.cluster import arrow_block_refs
 from deepseek_ocr_ray.sources.jsonl import (
     read_jsonl,
     read_jsonl_fast,
@@ -26,7 +27,7 @@ NASTY = [
 
 
 def _collect(ds) -> pa.Table:
-    tabs = [t for t in ray.get(ds.to_arrow_refs()) if t.num_rows]
+    tabs = [t for t in ray.get(arrow_block_refs(ds)) if t.num_rows]
     return pa.concat_tables(tabs).sort_by("doc_id")
 
 
@@ -84,10 +85,12 @@ def test_quarantine_semantics(ray_session, tmp_path):
         [
             t
             for t in ray.get(
-                read_jsonl(
-                    str(p),
-                    {"id": pa.int64(), "text": pa.string(), "n": pa.int64()},
-                ).to_arrow_refs()
+                arrow_block_refs(
+                    read_jsonl(
+                        str(p),
+                        {"id": pa.int64(), "text": pa.string(), "n": pa.int64()},
+                    )
+                )
             )
             if t.num_rows
         ]

@@ -283,6 +283,25 @@ def test_ks_validation(ray_session):
         ks_two_sample(ray.data.from_arrow(tf), "v", "side", ("a", "b"))
 
 
+def test_ks_validation_on_lazy_input(ray_session):
+    """A lazy mapped input has no schema until it runs: the integer check
+    then happens on the batches, and still fails the call."""
+    import ray.data
+
+    from deepseek_ocr_ray.stages.profile import ks_two_sample
+
+    t = pa.table({"v": pa.array([1, 3], pa.int64()), "side": ["a", "b"]})
+    lazy = ray.data.from_arrow(t).map_batches(
+        lambda b: b.set_column(0, "v", b["v"].cast(pa.float64())),
+        batch_format="pyarrow",
+    )
+    with pytest.raises(Exception, match="must be integer"):
+        ks_two_sample(lazy, "v", "side", ("a", "b"))
+    ok = ray.data.from_arrow(t).map_batches(lambda b: b, batch_format="pyarrow")
+    got = ks_two_sample(ok, "v", "side", ("a", "b")).to_pylist()[0]
+    assert (got["n1"], got["n2"]) == (1, 1)
+
+
 # ---------------------------------------------------------------------------
 # Mann–Whitney U
 
