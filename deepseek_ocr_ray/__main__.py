@@ -2,7 +2,6 @@
 
     python -m deepseek_ocr_ray extract   --input DIR --output DIR [--resume]
     python -m deepseek_ocr_ray synth     --output DIR --docs N [--partitions P]
-    python -m deepseek_ocr_ray bench     [--docs N]
 
 ``extract`` runs the checkpointed partition loop (state/checkpoint.py): each
 ``part={pid}`` input directory is processed as one streaming pipeline, its
@@ -68,37 +67,6 @@ def cmd_synth(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_bench(args: argparse.Namespace) -> int:
-    _ensure_ray(args.num_cpus)
-    import time
-
-    import pyarrow as pa
-
-    from .pipelines.extract import extract_dataset
-    from .sources.interleaved import synthetic_dataset
-
-    def summarize(batch: pa.Table) -> pa.Table:
-        return pa.table({"rows": pa.array([batch.num_rows], pa.int64())})
-
-    t0 = time.perf_counter()
-    stats = (
-        extract_dataset(synthetic_dataset(args.docs, seed=42))
-        .map_batches(summarize, batch_format="pyarrow")
-        .to_pandas()
-    )
-    dt = time.perf_counter() - t0
-    print(
-        json.dumps(
-            {
-                "docs": int(stats["rows"].sum()),
-                "sec": round(dt, 2),
-                "docs_per_sec": round(int(stats["rows"].sum()) / dt, 1),
-            }
-        )
-    )
-    return 0
-
-
 def cmd_export_shards(args: argparse.Namespace) -> int:
     _ensure_ray(args.num_cpus)
     import ray.data
@@ -137,7 +105,7 @@ def cmd_scrub_dups(args: argparse.Namespace) -> int:
 
         summary = run_scrub_checkpointed(
             args.input, args.output,
-            ngram=args.ngram, min_count=args.min_count, probe=args.probe,
+            ngram=args.ngram, min_count=args.min_count,
         )
         print(
             json.dumps(
@@ -152,9 +120,7 @@ def cmd_scrub_dups(args: argparse.Namespace) -> int:
     from .pipelines.curation import substring_dup_scrub_ds
 
     ds = ray.data.read_parquet(args.input, columns=["doc_id", "text"])
-    out = substring_dup_scrub_ds(
-        ds, ngram=args.ngram, min_count=args.min_count, probe=args.probe
-    )
+    out = substring_dup_scrub_ds(ds, ngram=args.ngram, min_count=args.min_count)
     out.write_parquet(args.output)
     print(json.dumps({"output": args.output, "ngram": args.ngram}))
     return 0
@@ -170,7 +136,7 @@ def cmd_line_dedup(args: argparse.Namespace) -> int:
     from .pipelines.curation import line_dedup_scrub_ds
 
     ds = ray.data.read_parquet(args.input, columns=["doc_id", "text"])
-    out = line_dedup_scrub_ds(ds, probe=args.probe).materialize()
+    out = line_dedup_scrub_ds(ds).materialize()
     stats = out.map_batches(
         lambda b: b.select(["n_lines", "n_dropped_lines"]),
         batch_format="pyarrow",
@@ -412,11 +378,6 @@ def main(argv: list[str] | None = None) -> int:
     ps.add_argument("--partitions", type=int, default=8)
     ps.set_defaults(fn=cmd_synth)
 
-    pb = sub.add_parser("bench", help="headline throughput")
-    pb.add_argument("--docs", type=int, default=6000)
-    pb.add_argument("--num-cpus", type=int, default=None)
-    pb.set_defaults(fn=cmd_bench)
-
     px = sub.add_parser(
         "export-shards",
         help="deterministic resumable shuffle of a parquet table into "
@@ -441,9 +402,6 @@ def main(argv: list[str] | None = None) -> int:
     pd.add_argument("--ngram", type=int, default=5)
     pd.add_argument("--min-count", dest="min_count", type=int, default=2)
     pd.add_argument(
-        "--probe", choices=["auto", "broadcast", "join"], default="auto"
-    )
-    pd.add_argument(
         "--checkpointed", action="store_true",
         help="input is a part=* layout; land partitions atomically with "
         "manifests and skip finished ones on rerun",
@@ -458,9 +416,6 @@ def main(argv: list[str] | None = None) -> int:
     )
     pl.add_argument("--input", required=True)
     pl.add_argument("--output", required=True)
-    pl.add_argument(
-        "--probe", choices=["auto", "broadcast", "join"], default="auto"
-    )
     pl.add_argument("--num-cpus", dest="num_cpus", type=int, default=None)
     pl.set_defaults(fn=cmd_line_dedup)
 

@@ -857,22 +857,14 @@ FROM part GROUP BY 1 ORDER BY 1
 """
 
 
-def customers_without_orders(
-    sf_dir: str, broadcast_threshold: int = 500_000
-) -> ray.data.Dataset:
+def customers_without_orders(sf_dir: str) -> ray.data.Dataset:
     """ANTI-join: customers with no order placed in 1995 (NOT EXISTS over a
     filtered subquery — the unfiltered variant is empty on this corpus).
 
-    Two physical plans, auto-selected on the bound of the matched-key set
-    (|customer|, known from parquet metadata without a scan):
-
-    - small side (≤ ``broadcast_threshold`` customers): broadcast anti-join —
-      the distinct matching custkey set is collected once, ``ray.put`` once,
-      and each customer batch filters against it with ``np.isin``;
-    - large side: the planner's keyed-exchange (``bucket``) ``left_anti``
-      join against the distinct matched keys.  Nothing touches the
-      driver; both sides shuffle by key.  This is the only valid plan at
-      corpus scale (15 M customers at SF100).
+    The distinct matching custkey set (map-side combined groupby) is the
+    right input of one ``left_anti`` :func:`cluster.equi_join`: broadcast
+    while it fits the object-store cap, a keyed exchange of both sides
+    past it (15 M customers at SF100).
     """
     orders = read_table(sf_dir, "orders", columns=["o_custkey", "o_orderdate"])
 
@@ -886,28 +878,13 @@ def customers_without_orders(
         .groupby("o_custkey")
         .count()
     )
-    cust = read_table(sf_dir, "customer", columns=["c_custkey", "c_mktsegment"])
-
-    if cust.count() <= broadcast_threshold:
-        keys = np.array(
-            [r["o_custkey"] for r in distinct.take_all()], dtype=np.int64
-        )
-        kref = ray.put(keys)
-
-        def anti(batch: pa.Table) -> pa.Table:
-            k = ray.get(kref)
-            ck = batch["c_custkey"].to_numpy(zero_copy_only=False)
-            return batch.filter(pa.array(~np.isin(ck, k)))
-
-        return cust.map_batches(anti, batch_format="pyarrow")
-
     return equi_join(
-        cust,
+        read_table(sf_dir, "customer", columns=["c_custkey", "c_mktsegment"]),
         distinct.rename_columns({"count()": "match_n"}),
         on="c_custkey",
         right_on="o_custkey",
         join_type="left_anti",
-        strategy="bucket",
+        left_cols=["c_custkey", "c_mktsegment"],
     )
 
 
@@ -921,36 +898,28 @@ ORDER BY c_custkey
 """
 
 
-def suppliers_with_lineitems(
-    sf_dir: str, broadcast_threshold: int = 500_000
-) -> ray.data.Dataset:
+def suppliers_with_lineitems(sf_dir: str) -> ray.data.Dataset:
     """SEMI-join: suppliers that appear in lineitem (EXISTS).
 
-    The distinct suppkey set is pre-aggregated either way (map-side
-    combined groupby — the shuffle carries one row per distinct key per
-    block, never one per lineitem).  Plan auto-selects on |supplier|
-    (an upper bound on the distinct set, since l_suppkey ⊆ s_suppkey):
-
-    - small: the planner's default plan, which broadcasts the distinct-key
-      set when it fits plasma — each supplier batch semi-joins locally
-      (no exchange at all);
-    - large: the planner's keyed-exchange (``bucket``) ``left_semi`` join —
-      nothing on the driver, the only valid plan at corpus scale.
+    The distinct suppkey set is pre-aggregated (map-side combined groupby —
+    the shuffle carries one row per distinct key per block, never one per
+    lineitem) and is the right input of one ``left_semi``
+    :func:`cluster.equi_join`: each supplier batch semi-joins a broadcast
+    copy while the set fits the object-store cap, else both sides
+    exchange by key.
     """
     distinct = (
         read_table(sf_dir, "lineitem", columns=["l_suppkey"])
         .groupby("l_suppkey")
         .count()
     )
-    sup = read_table(sf_dir, "supplier", columns=["s_suppkey", "s_name"])
-    small = sup.count() <= broadcast_threshold
     return equi_join(
-        sup,
+        read_table(sf_dir, "supplier", columns=["s_suppkey", "s_name"]),
         distinct.rename_columns({"count()": "n"}),
         on="s_suppkey",
         right_on="l_suppkey",
         join_type="left_semi",
-        strategy=None if small else "bucket",
+        left_cols=["s_suppkey", "s_name"],
     )
 
 

@@ -1869,11 +1869,12 @@ def _flatten_span_lists(batch: pa.Table):
     return srow, ss, se
 
 
-def _resolve_probe(probe: str, dup: ray.data.Dataset) -> str:
+def _resolve_probe(dup: ray.data.Dataset) -> str:
+    """``broadcast`` while the materialized dup set's size estimate fits
+    the join planner's cap (``cluster.BROADCAST_MAX_BYTES``, read at call
+    time), else ``join``."""
     from ..cluster import BROADCAST_MAX_BYTES, dataset_size_estimate
 
-    if probe != "auto":
-        return probe
     sz = dataset_size_estimate(dup)
     return "broadcast" if sz is None or sz <= BROADCAST_MAX_BYTES else "join"
 
@@ -1883,7 +1884,6 @@ def substring_dup_spans(
     *,
     ngram: int = 5,
     min_count: int = 2,
-    probe: str = "auto",
 ) -> ray.data.Dataset:
     """Exact duplicated-substring spans: for every document, the maximal
     token runs covered by word ``ngram``-grams that occur ``>= min_count``
@@ -1891,7 +1891,7 @@ def substring_dup_spans(
     dedup of Lee et al. 2022, reformulated as n-gram postings so it runs
     as two streaming passes instead of a suffix array.
 
-    Probe plans (``probe``: ``auto | broadcast | join``):
+    Probe plans (:func:`_resolve_probe` picks one):
 
     - ``broadcast`` — the duplicated-gram set ships once via plasma and
       pass 2 is a PURE MAP: window hits and the interval merge
@@ -1904,8 +1904,6 @@ def substring_dup_spans(
       doc-keyed exchange, and the bounded per-doc span lists join back to
       the corpus for text assembly.  Three exchanges, none of which holds
       the dup set in one heap.
-    - ``auto`` — ``broadcast`` while the materialized dup set's estimate
-      fits the planner's broadcast cap, else ``join``.
 
     Output: one row per span ``(doc_id, span_start, span_end, span_tokens,
     span_text)`` with token-index bounds (end exclusive) over the
@@ -1914,7 +1912,7 @@ def substring_dup_spans(
 
     ds = read_table(sf_dir, "documents", columns=["doc_id", "text"])
     dup = _dup_gram_dataset(ds, ngram, min_count)
-    plan = _resolve_probe(probe, dup)
+    plan = _resolve_probe(dup)
 
     if plan == "broadcast":
         dup_ref = dup_gram_ref(dup)
@@ -1955,7 +1953,6 @@ def substring_dup_scrub(
     *,
     ngram: int = 5,
     min_count: int = 2,
-    probe: str = "auto",
 ) -> ray.data.Dataset:
     """Remove every duplicated-substring span found by
     ``substring_dup_spans`` and re-join the surviving tokens: one row per
@@ -1968,7 +1965,6 @@ def substring_dup_scrub(
         read_table(sf_dir, "documents", columns=["doc_id", "text"]),
         ngram=ngram,
         min_count=min_count,
-        probe=probe,
     )
 
 
@@ -1977,7 +1973,6 @@ def substring_dup_scrub_ds(
     *,
     ngram: int = 5,
     min_count: int = 2,
-    probe: str = "auto",
 ) -> ray.data.Dataset:
     """Dataset-in variant of :func:`substring_dup_scrub` (the CLI / job
     entry point takes an arbitrary documents Dataset with ``doc_id`` +
@@ -1985,7 +1980,7 @@ def substring_dup_scrub_ds(
     from ..cluster import equi_join
 
     dup = _dup_gram_dataset(ds, ngram, min_count)
-    plan = _resolve_probe(probe, dup)
+    plan = _resolve_probe(dup)
 
     if plan == "broadcast":
         out = scrub_with_ref(ds, dup_gram_ref(dup), ngram)
@@ -2351,7 +2346,6 @@ def doc_dup_fraction(
     *,
     ngram: int = 5,
     min_count: int = 2,
-    probe: str = "auto",
 ) -> ray.data.Dataset:
     """Per-document duplicated-content score — the corpus-wide companion
     to :func:`doc_repetition`'s within-doc signals and the standard
@@ -2366,12 +2360,13 @@ def doc_dup_fraction(
     plasma — window occurrences semi-join the dup set, per-doc window
     counts and merged-span coverage reduce through keyed exchanges, and
     two planner left-outer joins stitch the bounded per-doc tables back
-    to the corpus scan; ``auto`` picks by the materialized dup-set size."""
+    to the corpus scan; :func:`_resolve_probe` picks by the materialized
+    dup-set size."""
     from ..cluster import equi_join
 
     ds = read_table(sf_dir, "documents", columns=["doc_id", "text"])
     dup = _dup_gram_dataset(ds, ngram, min_count)
-    plan = _resolve_probe(probe, dup)
+    plan = _resolve_probe(dup)
 
     if plan == "join":
         return _doc_dup_fraction_join(ds, dup, ngram, equi_join)
@@ -3783,9 +3778,7 @@ def _assemble_scrubbed_lines(
     )
 
 
-def line_dedup_scrub(
-    sf_dir: str, *, probe: str = "auto"
-) -> ray.data.Dataset:
+def line_dedup_scrub(sf_dir: str) -> ray.data.Dataset:
     """C4's line-level dedup (Raffel et al. 2020): any line occurring more
     than once ANYWHERE in the corpus survives only at its first occurrence
     (lexicographically smallest ``(doc_id, line_idx)``); every other copy
@@ -3793,8 +3786,8 @@ def line_dedup_scrub(
     One row per document: ``n_lines``, ``n_dropped_lines``, scrubbed
     ``text`` (in the deterministic line-enriched form both sides split).
 
-    Probe plans (``probe``: ``auto | broadcast | join``, the same
-    escalation family as :func:`substring_dup_spans`):
+    Probe plans (the same escalation family as
+    :func:`substring_dup_spans`, picked by :func:`_resolve_probe`):
 
     - ``broadcast`` — the duplicated-line keeper table ships once via
       plasma and the scrub is a PURE MAP (one ``index_in`` probe + two
@@ -3807,17 +3800,15 @@ def line_dedup_scrub(
       for the rebuild map.  Byte-identical to broadcast (tested).
     """
     ds = read_table(sf_dir, "documents", columns=["doc_id", "text"])
-    return line_dedup_scrub_ds(ds, probe=probe)
+    return line_dedup_scrub_ds(ds)
 
 
-def line_dedup_scrub_ds(
-    ds: ray.data.Dataset, *, probe: str = "auto"
-) -> ray.data.Dataset:
+def line_dedup_scrub_ds(ds: ray.data.Dataset) -> ray.data.Dataset:
     """Dataset-in variant of :func:`line_dedup_scrub`."""
     from ..cluster import collect_table
 
     dup = _dup_line_dataset(ds)
-    plan = _resolve_probe(probe, dup)
+    plan = _resolve_probe(dup)
 
     if plan == "broadcast":
         tab = collect_table(dup)

@@ -972,15 +972,7 @@ def _lattice_driver_levels(
     )
 
 
-def _lattice_use_driver(base: ray.data.Dataset, finish: str) -> bool:
-    if finish == "driver":
-        return True
-    if finish == "distributed":
-        return False
-    if finish != "auto":
-        raise ValueError(
-            f"unknown finish {finish!r} (want auto/driver/distributed)"
-        )
+def _lattice_use_driver(base: ray.data.Dataset) -> bool:
     from ..cluster import dataset_size_estimate
 
     est = dataset_size_estimate(base)
@@ -1032,7 +1024,6 @@ def cube_sum(
     *,
     count_col: str = "n",
     n_buckets: int = 64,
-    finish: str = "auto",
 ) -> ray.data.Dataset:
     """SQL ``GROUP BY CUBE(keys...)``: aggregates at EVERY subset of the
     key columns (2^k levels), absent key columns null.
@@ -1045,9 +1036,8 @@ def cube_sum(
     local pyarrow re-aggregate with ZERO further exchanges, else each
     subset re-aggregates an already-computed superset ONE key larger
     through its own exchange (any such parent gives the same exact
-    result — int64 partials are associative).  ``finish`` forces the
-    plan (``auto``/``driver``/``distributed``; both byte-equal under the
-    plan-equality test).  ``len(keys)`` is capped at 4 (16 levels) —
+    result — int64 partials are associative; both plans byte-equal under
+    the plan-equality test).  ``len(keys)`` is capped at 4 (16 levels) —
     beyond that GROUPING SETS explosions are a modeling problem, not an
     engine one.
     """
@@ -1064,7 +1054,7 @@ def cube_sum(
     base_schema = base.schema().base_schema
     key_types = {k: base_schema.field(k).type for k in keys}
 
-    if _lattice_use_driver(base, finish):
+    if _lattice_use_driver(base):
         subsets = [
             sub
             for depth in range(len(keys) - 1, -1, -1)
@@ -1118,7 +1108,6 @@ def rollup_sum(
     *,
     count_col: str = "n",
     n_buckets: int = 64,
-    finish: str = "auto",
 ) -> ray.data.Dataset:
     """SQL ``GROUP BY ROLLUP(keys...)``: aggregates at every prefix level
     (full keys → …, first key → grand total), rolled-up key columns null.
@@ -1131,8 +1120,7 @@ def rollup_sum(
     level re-aggregates the PREVIOUS level's output through its own
     exchange over group-count rows — never a second corpus pass either
     way.  Sums/counts are int64 partials, so every level is exact and
-    parallelism-invariant; ``finish`` forces the plan
-    (``auto``/``driver``/``distributed``).
+    parallelism-invariant.
     """
     if not keys:
         raise ValueError("rollup needs at least one key")
@@ -1143,7 +1131,7 @@ def rollup_sum(
     base_schema = base.schema().base_schema
     key_types = {k: base_schema.field(k).type for k in keys}
 
-    if _lattice_use_driver(base, finish):
+    if _lattice_use_driver(base):
         subsets = [
             tuple(keys[:depth]) for depth in range(len(keys) - 1, -1, -1)
         ]
@@ -1556,7 +1544,6 @@ def grouping_sets_sum(
     *,
     count_col: str = "n",
     n_buckets: int = 64,
-    finish: str = "auto",
 ) -> ray.data.Dataset:
     """SQL ``GROUP BY GROUPING SETS (...)`` — the arbitrary-subset
     generalization CUBE (every subset) and ROLLUP (every prefix) are
@@ -1598,7 +1585,7 @@ def grouping_sets_sum(
     _null_fill = _make_null_fill(keys, key_types, value_cols)
     full = tuple(keys)
 
-    if _lattice_use_driver(base, finish):
+    if _lattice_use_driver(base):
         base_t = _lattice_collect_base(base, keys, key_types, value_cols)
         tables = []
         for sub in norm:

@@ -85,17 +85,16 @@ def incremental_exact_dedup(
     *,
     text_col: str = "text",
     id_col: str = "doc_id",
-    broadcast_threshold: int = 2_000_000,
 ) -> ray.data.Dataset:
     """Incremental corpus growth: keep only NEW documents whose exact text
     does not already exist in the existing corpus — the filter every
     recurring crawl/ingest runs before appending to a training corpus.
 
     Both sides reduce to md5 text hashes first (map-side), so only 16-byte
-    hashes move.  Plan auto-selects on the existing corpus's distinct-hash
-    count: broadcast ``np.isin`` below the threshold, the planner's
-    distributed ``left_anti`` join above it (nothing on the driver; the
-    anti join keeps exactly the unmatched left rows).
+    hashes move; the existing side's distinct-hash set is the right input
+    of one ``left_anti`` :func:`cluster.equi_join`, which broadcasts it
+    when it fits the object-store cap and exchanges both sides by key
+    otherwise.
     """
     new_hashed = new_ds.map_batches(
         add_text_hash, fn_kwargs={"text_col": text_col}, batch_format="pyarrow"
@@ -109,30 +108,6 @@ def incremental_exact_dedup(
         .groupby("text_hash")
         .count()
     )
-
-    # materialize the distinct-hash set once: the threshold then measures
-    # the actual broadcast size (distinct hashes), and the broadcast path
-    # reuses the same execution instead of re-running hash+groupby
-    existing_hashes = existing_hashes.materialize()
-    if existing_hashes.count() <= broadcast_threshold:
-        from ..cluster import collect_table
-
-        seen_tab = collect_table(existing_hashes.select_columns(["text_hash"]))
-        seen_arr = (
-            seen_tab["text_hash"].combine_chunks()
-            if seen_tab is not None
-            else pa.array([], pa.string())
-        )
-        sref = ray.put(seen_arr)
-
-        def anti(batch: pa.Table) -> pa.Table:
-            # C++ membership probe (one hash set build per batch, zero
-            # per-row Python) — the seen set ships once via plasma
-            mask = pc.invert(pc.is_in(batch["text_hash"], value_set=ray.get(sref)))
-            return pa.table({id_col: pc.filter(batch[id_col], mask)})
-
-        return new_hashed.map_batches(anti, batch_format="pyarrow")
-
     return equi_join(
         new_hashed.select_columns([id_col, "text_hash"]),
         existing_hashes.rename_columns({"count()": "n"}),
@@ -809,9 +784,6 @@ def ngram_jaccard_dedup(
     n_buckets: int = 64,
     concurrency=(2, 8),
     verify: str = "join",
-    pair_plan: str = "auto",
-    local_max_pairs: int = NGRAM_LOCAL_MAX_PAIRS,
-    local_max_bytes: int = NGRAM_LOCAL_MAX_TEXT_BYTES,
     **minhash_kwargs,
 ) -> ray.data.Dataset:
     """MinHash-LSH candidates + EXACT word n-gram Jaccard verification.
@@ -822,18 +794,15 @@ def ngram_jaccard_dedup(
       emit distinct candidate pairs, texts are joined back by id
       (``cluster.equi_join``), pairs verify vectorized, and kept ids come
       from a left-anti join.  Text moves once per candidate pair instead of once
-      per band row — the 10^12-row plan.  Within it, ``pair_plan``
-      selects the verify route: ``"auto"`` (default) verifies on the
-      DRIVER when the materialized candidate-pair count is at most
-      ``local_max_pairs`` and the needed texts stream in under
-      ``local_max_bytes`` (both text joins and their exchanges
-      disappear), falling back to ``"distributed"`` (the join route)
-      otherwise; ``"local"`` forces the driver attempt.
+      per band row — the 10^12-row plan.  Within it, pairs verify on
+      the DRIVER when the materialized candidate-pair count is at most
+      ``NGRAM_LOCAL_MAX_PAIRS`` and the needed texts stream in under
+      ``NGRAM_LOCAL_MAX_TEXT_BYTES`` (both text joins and their exchanges
+      disappear), else through the distributed text joins.
     - ``verify="carry"`` — texts ride along in the bucket rows
       (``carry_text=True``).  One fewer exchange, but every document's full
       text is replicated ×bands through shuffle #1 (32× byte amplification)
       — explicit opt-in for tiny corpora / SQL-parity experiments only.
-      ``pair_plan`` does not apply (must stay ``"auto"``).
     """
     if verify == "join":
         # the join plan runs the signature pool alongside two text joins —
@@ -850,15 +819,7 @@ def ngram_jaccard_dedup(
             seed=seed,
             n_buckets=n_buckets,
             concurrency=(1, hi),
-            pair_plan=pair_plan,
-            local_max_pairs=local_max_pairs,
-            local_max_bytes=local_max_bytes,
             **minhash_kwargs,
-        )
-
-    if pair_plan != "auto":
-        raise ValueError(
-            "ngram_jaccard_dedup: pair_plan applies to verify='join' only"
         )
 
     def verify_fn(group: pa.Table) -> pa.Table:
@@ -1025,10 +986,6 @@ def _ngram_dedup_verify_join(
     seed: int,
     n_buckets: int,
     concurrency=(2, 8),
-    drop_broadcast_threshold: int = 1_000_000,
-    pair_plan: str = "auto",
-    local_max_pairs: int = NGRAM_LOCAL_MAX_PAIRS,
-    local_max_bytes: int = NGRAM_LOCAL_MAX_TEXT_BYTES,
     **minhash_kwargs,
 ) -> ray.data.Dataset:
     """Scale-safe ngram dedup: candidate pairs → text join → verify → anti-join.
@@ -1116,30 +1073,23 @@ def _ngram_dedup_verify_join(
     # their exchanges) are pure overhead — collect the bounded
     # pair set, fetch ONLY the needed texts through one broadcast-filter
     # scan (byte-budgeted, falls back if a pathological corpus blows it)
-    # and verify on the driver.  ``auto`` picks by the materialized pair
+    # and verify on the driver.  The choice reads the materialized pair
     # count; shuffles 1-2 are needed by both plans, so the materialize
     # is never wasted work.
-    if pair_plan not in ("auto", "local", "distributed"):
-        raise ValueError(
-            f"ngram dedup: pair_plan={pair_plan!r} must be "
-            "'auto' | 'local' | 'distributed'"
+    distinct_pairs = distinct_pairs.materialize()
+    if distinct_pairs.count() <= NGRAM_LOCAL_MAX_PAIRS:
+        kept = _ngram_local_verify(
+            ds,
+            texts,
+            distinct_pairs,
+            id_col=id_col,
+            text_col=text_col,
+            ngram=ngram,
+            threshold=threshold,
+            max_text_bytes=NGRAM_LOCAL_MAX_TEXT_BYTES,
         )
-    if pair_plan != "distributed":
-        pairs_mat = distinct_pairs.materialize()
-        if pair_plan == "local" or pairs_mat.count() <= local_max_pairs:
-            kept = _ngram_local_verify(
-                ds,
-                texts,
-                pairs_mat,
-                id_col=id_col,
-                text_col=text_col,
-                ngram=ngram,
-                threshold=threshold,
-                max_text_bytes=local_max_bytes,
-            )
-            if kept is not None:
-                return kept
-        distinct_pairs = pairs_mat
+        if kept is not None:
+            return kept
 
     # joins 3-4 ride the engine planner (broadcast or keyed exchange);
     # the candidate stream can be legitimately EMPTY (no-collision
@@ -1217,33 +1167,16 @@ def _ngram_dedup_verify_join(
         .map_batches(norm_dropped, batch_format="pyarrow")
     )
 
-    # The dropped set is O(duplicates) — typically far smaller than the
-    # corpus.  Materialize it (it is already aggregated to one row per
-    # dropped id; the object store spills if a pathological corpus makes it
-    # big) and pick the anti plan by its actual size: a broadcast np.isin
-    # filter below the threshold (saves a whole join operator), the
-    # planner's anti-join above it.
-    dropped_mat = dropped.materialize()
-    if dropped_mat.count() <= drop_broadcast_threshold:
-        drop_ids = np.array(
-            [r[id_col] for r in dropped_mat.take_all()], dtype=np.int64
-        )
-        dref = ray.put(drop_ids)
-
-        def anti(batch: pa.Table) -> pa.Table:
-            d = ray.get(dref)
-            ids_arr = batch[id_col].to_numpy(zero_copy_only=False)
-            return pa.table(
-                {id_col: pa.array(ids_arr[~np.isin(ids_arr, d)], pa.int64())}
-            )
-
-        return ds.select_columns([id_col]).map_batches(
-            anti, batch_format="pyarrow"
-        )
-
+    # the dropped set is O(duplicates) — typically far smaller than the
+    # corpus, so the planner normally broadcasts it.  Ids are int64 on both
+    # sides of the anti join (the pair stream is int64 throughout).
+    ids = ds.select_columns([id_col]).map_batches(
+        lambda b: pa.table({id_col: b[id_col].cast(pa.int64())}),
+        batch_format="pyarrow",
+    )
     return equi_join(
-        ds.select_columns([id_col]),
-        dropped_mat,
+        ids,
+        dropped,
         on=id_col,
         join_type="left_anti",
         left_cols=[id_col],

@@ -45,8 +45,8 @@ from ..cluster import equi_join
 # near-dup pair lists are O(nodes), so two int64 columns at 5M rows are
 # ~80 MB: trivially collectable, and the distributed rounds' fixed
 # per-shuffle cost would dominate by 10× at that size.  Above it, the
-# distributed label-propagation rounds run.  Same auto-select convention
-# as ``incremental_exact_dedup`` / the join planner.
+# distributed label-propagation rounds run.  Read at call time by the CC,
+# PageRank and k-core plan choices (tests monkeypatch it to force a plan).
 LOCAL_CC_THRESHOLD = 5_000_000
 
 
@@ -93,8 +93,6 @@ def connected_components(
     u_col: str = "u",
     v_col: str = "v",
     max_iters: int = 50,
-    strategy: str = "auto",
-    local_threshold: int = LOCAL_CC_THRESHOLD,
 ) -> ray.data.Dataset:
     """Min-label propagation: returns ``(id_col, cluster_id)`` where
     ``cluster_id`` is the smallest node id in the node's component.
@@ -104,12 +102,10 @@ def connected_components(
     id as ``cluster_id``.  Raises ``RuntimeError`` if not converged after
     ``max_iters`` rounds (fail loud, never a silently-partial clustering).
 
-    ``strategy``: ``"auto"`` (default) collects the edge list to the driver
-    below ``local_threshold`` total rows and runs the vectorized numpy pass
-    (``_local_cc``); ``"distributed"`` / ``"local"`` force a plan.  Both
-    plans are property-tested equal (tests/test_curation.py)."""
-    if strategy not in ("auto", "distributed", "local"):
-        raise ValueError(f"unknown strategy {strategy!r}")
+    At or below ``LOCAL_CC_THRESHOLD`` total rows the edge list collects
+    to the driver and runs the vectorized numpy pass (``_local_cc``);
+    above it the distributed label-propagation rounds run.  Both plans
+    are property-tested equal (tests/test_curation.py)."""
 
     def bidir(batch: pa.Table) -> pa.Table:
         u = batch[u_col].cast(pa.int64())
@@ -120,52 +116,48 @@ def connected_components(
 
     edges2 = edges.map_batches(bidir, batch_format="pyarrow").materialize()
 
-    if strategy != "distributed":
+    if edges2.count() // 2 + nodes.count() <= LOCAL_CC_THRESHOLD:
         import ray as _ray
 
-        n_rows = edges2.count() // 2 + nodes.count()
-        if strategy == "local" or n_rows <= local_threshold:
-            import numpy as np
+        from ..cluster import collect_table
 
-            from ..cluster import collect_table
+        etbl = collect_table(edges2)
+        if etbl is None:
+            etbl = pa.table(
+                {"eu": pa.array([], pa.int64()),
+                 "ev": pa.array([], pa.int64())}
+            )
+        u = etbl["eu"].to_numpy(zero_copy_only=False)
+        v = etbl["ev"].to_numpy(zero_copy_only=False)
+        # solve components ONCE over the edge endpoints; the broadcast
+        # is the sorted endpoint→cluster map, and the per-block pass is
+        # a vectorized searchsorted lookup (nodes without edges keep
+        # their own id)
+        endpoints = np.unique(np.concatenate([u, v]))
+        clusters = _local_cc(u, v, endpoints)
+        map_ref = _ray.put((endpoints, clusters))
 
-            etbl = collect_table(edges2)
-            if etbl is None:
-                etbl = pa.table(
-                    {"eu": pa.array([], pa.int64()),
-                     "ev": pa.array([], pa.int64())}
-                )
-            u = etbl["eu"].to_numpy(zero_copy_only=False)
-            v = etbl["ev"].to_numpy(zero_copy_only=False)
-            # solve components ONCE over the edge endpoints; the broadcast
-            # is the sorted endpoint→cluster map, and the per-block pass is
-            # a vectorized searchsorted lookup (nodes without edges keep
-            # their own id)
-            endpoints = np.unique(np.concatenate([u, v]))
-            clusters = _local_cc(u, v, endpoints)
-            map_ref = _ray.put((endpoints, clusters))
+        def label_block(batch: pa.Table) -> pa.Table:
+            ep, cl = _ray.get(map_ref)
+            node_ids = (
+                batch[id_col]
+                .cast(pa.int64())
+                .to_numpy(zero_copy_only=False)
+            )
+            pos = np.searchsorted(ep, node_ids)
+            pos = np.clip(pos, 0, max(len(ep) - 1, 0))
+            out = node_ids.copy()
+            if len(ep):
+                hit = ep[pos] == node_ids
+                out[hit] = cl[pos[hit]]
+            return pa.table(
+                {
+                    id_col: batch[id_col].cast(pa.int64()),
+                    "cluster_id": pa.array(out),
+                }
+            )
 
-            def label_block(batch: pa.Table) -> pa.Table:
-                ep, cl = _ray.get(map_ref)
-                node_ids = (
-                    batch[id_col]
-                    .cast(pa.int64())
-                    .to_numpy(zero_copy_only=False)
-                )
-                pos = np.searchsorted(ep, node_ids)
-                pos = np.clip(pos, 0, max(len(ep) - 1, 0))
-                out = node_ids.copy()
-                if len(ep):
-                    hit = ep[pos] == node_ids
-                    out[hit] = cl[pos[hit]]
-                return pa.table(
-                    {
-                        id_col: batch[id_col].cast(pa.int64()),
-                        "cluster_id": pa.array(out),
-                    }
-                )
-
-            return nodes.map_batches(label_block, batch_format="pyarrow")
+        return nodes.map_batches(label_block, batch_format="pyarrow")
 
     def init_labels(batch: pa.Table) -> pa.Table:
         ids = batch[id_col].cast(pa.int64())
@@ -237,8 +229,6 @@ def pagerank_int(
     scale: int = 1_000_000,
     damping_pct: int = 85,
     assume_symmetric: bool = False,
-    strategy: str = "auto",
-    local_threshold: int = LOCAL_CC_THRESHOLD,
 ) -> ray.data.Dataset:
     """Integer-exact PageRank power iteration — ``(node, rank_scaled)``.
 
@@ -257,11 +247,10 @@ def pagerank_int(
     the node sets diverge).  Duplicate input edges are deduplicated
     internally (a multigraph would double-count shares).
 
-    ``strategy``: ``"auto"`` (default) collects the edge list to the
-    driver below ``local_threshold`` rows and runs the whole power
-    iteration as a numpy loop over the SAME int64 expressions (byte-equal
-    plans, per-round joins/exchanges gone — the CC/k-core auto-select
-    convention); ``"distributed"`` / ``"local"`` force a plan.
+    At or below ``LOCAL_CC_THRESHOLD`` edge rows the edge list collects
+    to the driver and the whole power iteration runs as a numpy loop over
+    the SAME int64 expressions (byte-equal plans, per-round
+    joins/exchanges gone — the CC/k-core convention).
 
     Distributed shape: the setup is ONE exchange — edges are map-side distincted and
     bucketed BY SOURCE, so each bucket holds every edge of its sources
@@ -283,66 +272,62 @@ def pagerank_int(
 
     if num_iters < 1:
         raise ValueError("num_iters must be >= 1")
-    if strategy not in ("auto", "distributed", "local"):
-        raise ValueError(f"unknown strategy {strategy!r}")
     base = ((100 - damping_pct) * scale) // 100
     N_BUCKETS = 64
 
     ecols = edges.select_columns([src_col, dst_col]).materialize()
-    if strategy != "distributed":
-        n_rows = ecols.count()
-        if strategy == "local" or n_rows <= local_threshold:
-            # Driver plan (the CC/k-core auto-select convention): below
-            # the shared collect budget the whole power iteration is a
-            # numpy loop — every arithmetic step is the SAME int64
-            # expression the distributed rounds evaluate, so the plans
-            # are byte-equal; per-round joins and exchanges are gone.
-            from ..cluster import collect_table
+    if ecols.count() <= LOCAL_CC_THRESHOLD:
+        # Driver plan (the CC/k-core auto-select convention): below
+        # the shared collect budget the whole power iteration is a
+        # numpy loop — every arithmetic step is the SAME int64
+        # expression the distributed rounds evaluate, so the plans
+        # are byte-equal; per-round joins and exchanges are gone.
+        from ..cluster import collect_table
 
-            etbl = collect_table(ecols)
-            # real column type even when the table is empty — the empty
-            # edge case must emit the same schema as the distributed plan
-            node_t = ecols.schema().base_schema.field(src_col).type
-            if etbl is None or etbl.num_rows == 0:
-                return ray.data.from_arrow(
-                    pa.table(
-                        {
-                            "node": pa.array([], node_t),
-                            "rank_scaled": pa.array([], pa.int64()),
-                        }
-                    )
-                )
-            u = etbl[src_col].to_numpy(zero_copy_only=False).astype(np.int64)
-            v = etbl[dst_col].to_numpy(zero_copy_only=False).astype(np.int64)
-            order = np.lexsort((v, u))
-            us, vs = u[order], v[order]
-            keep = np.r_[True, (us[1:] != us[:-1]) | (vs[1:] != vs[:-1])]
-            us, vs = us[keep], vs[keep]
-            nodes = np.unique(us)
-            dst_nodes = np.unique(vs)
-            if not np.array_equal(nodes, dst_nodes):
-                raise ValueError(
-                    "pagerank_int: source and destination node sets differ"
-                    " — symmetrize the edge list (add reverse edges) first"
-                )
-            n = len(nodes)
-            src_idx = np.searchsorted(nodes, us)
-            dst_idx = np.searchsorted(nodes, vs)
-            deg = np.bincount(src_idx, minlength=n).astype(np.int64)
-            r = np.full(n, scale, np.int64)
-            for _ in range(num_iters):
-                share = r[src_idx] // deg[src_idx]
-                s = np.zeros(n, np.int64)
-                np.add.at(s, dst_idx, share)
-                r = base + (damping_pct * s) // 100
+        etbl = collect_table(ecols)
+        # real column type even when the table is empty — the empty
+        # edge case must emit the same schema as the distributed plan
+        node_t = ecols.schema().base_schema.field(src_col).type
+        if etbl is None or etbl.num_rows == 0:
             return ray.data.from_arrow(
                 pa.table(
                     {
-                        "node": pa.array(nodes).cast(node_t),
-                        "rank_scaled": pa.array(r, pa.int64()),
+                        "node": pa.array([], node_t),
+                        "rank_scaled": pa.array([], pa.int64()),
                     }
                 )
             )
+        u = etbl[src_col].to_numpy(zero_copy_only=False).astype(np.int64)
+        v = etbl[dst_col].to_numpy(zero_copy_only=False).astype(np.int64)
+        order = np.lexsort((v, u))
+        us, vs = u[order], v[order]
+        keep = np.r_[True, (us[1:] != us[:-1]) | (vs[1:] != vs[:-1])]
+        us, vs = us[keep], vs[keep]
+        nodes = np.unique(us)
+        dst_nodes = np.unique(vs)
+        if not np.array_equal(nodes, dst_nodes):
+            raise ValueError(
+                "pagerank_int: source and destination node sets differ"
+                " — symmetrize the edge list (add reverse edges) first"
+            )
+        n = len(nodes)
+        src_idx = np.searchsorted(nodes, us)
+        dst_idx = np.searchsorted(nodes, vs)
+        deg = np.bincount(src_idx, minlength=n).astype(np.int64)
+        r = np.full(n, scale, np.int64)
+        for _ in range(num_iters):
+            share = r[src_idx] // deg[src_idx]
+            s = np.zeros(n, np.int64)
+            np.add.at(s, dst_idx, share)
+            r = base + (damping_pct * s) // 100
+        return ray.data.from_arrow(
+            pa.table(
+                {
+                    "node": pa.array(nodes).cast(node_t),
+                    "rank_scaled": pa.array(r, pa.int64()),
+                }
+            )
+        )
 
     def prep(batch: pa.Table) -> pa.Table:
         t = (
@@ -782,19 +767,20 @@ def _broadcast_wedge_walk(
     return int(out.sum("t") or 0), nodes, degs
 
 
-def _probe_closed(w1: np.ndarray, w2: np.ndarray, probe) -> np.ndarray:
-    """Boolean mask of wedges whose (w1, w2) closing edge exists."""
+def _probe_closed(w1: np.ndarray, w2: np.ndarray, table) -> np.ndarray:
+    """Boolean mask of wedges whose (w1, w2) closing edge exists in the
+    probe ``table`` built by :func:`_probe_from_arrays`."""
     from ..hashing import hash64_columns
 
-    if probe[0] == "ck":
-        _, base, keys = probe
+    if table[0] == "ck":
+        _, base, keys = table
         qk = w1 * base + w2
         pos = np.searchsorted(keys, qk)
         ok = pos < len(keys)
         closed = np.zeros(len(qk), bool)
         closed[ok] = keys[pos[ok]] == qk[ok]
         return closed
-    _, cks, us, vs, max_run = probe
+    _, cks, us, vs, max_run = table
     qck = hash64_columns(
         pa.table(
             {"a": pa.array(w1, pa.int64()), "b": pa.array(w2, pa.int64())}
@@ -831,11 +817,7 @@ _TRIANGLE_BROADCAST_MAX_EDGES = int(
 ) // 24
 
 
-def _resolve_probe(probe: str, n_edges: int) -> str:
-    if probe not in ("auto", "broadcast", "join"):
-        raise ValueError(f"unknown probe {probe!r}")
-    if probe != "auto":
-        return probe
+def _resolve_probe(n_edges: int) -> str:
     return "broadcast" if n_edges <= _TRIANGLE_BROADCAST_MAX_EDGES else "join"
 
 
@@ -882,7 +864,6 @@ def triangle_count(
     src_col: str = "x",
     dst_col: str = "y",
     n_buckets: int = 64,
-    probe: str = "auto",
 ) -> ray.data.Dataset:
     """Exact triangle count over an undirected simple edge list — the
     clustering-coefficient / community-density primitive.  One row out:
@@ -891,12 +872,12 @@ def triangle_count(
     Degree-oriented wedge algorithm (the MapReduce-standard plan): every
     node gets a dense rank by (degree, id); each edge orients low-rank →
     high-rank, which bounds every out-degree by O(√|E|) regardless of how
-    skewed the raw degree distribution is.  ``probe="broadcast"`` (the
-    default whenever the edge set fits the plasma budget) is ZERO-exchange
+    skewed the raw degree distribution is.  The broadcast plan (whenever
+    the edge set fits ``_TRIANGLE_BROADCAST_MAX_EDGES``) is ZERO-exchange
     (:func:`_broadcast_wedge_walk`): the edge set collects once, orients
     on the driver, ships to plasma once, and the wedge stream
     (Σ out-deg², ~40M rows at sf0.1) closes inside independent tasks over
-    u-run ranges balanced by wedge count.  ``probe="join"`` is the
+    u-run ranges balanced by wedge count.  The join plan is the
     at-scale fallback: the distributed orientation
     (:func:`_orient_edges`) plus wedges streamed through the
     collision-safe composite-key planner join (``equi_join_multi``).
@@ -914,7 +895,7 @@ def triangle_count(
                 }
             )
         )
-    plan = _resolve_probe(probe, n_edges)
+    plan = _resolve_probe(n_edges)
     if plan == "join":
         oriented, n_edges, deg = _orient_edges(
             ecols, src_col=src_col, dst_col=dst_col, n_buckets=n_buckets
@@ -943,7 +924,6 @@ def clustering_coefficients(
     src_col: str = "x",
     dst_col: str = "y",
     n_buckets: int = 64,
-    probe: str = "auto",
 ) -> ray.data.Dataset:
     """Per-node local clustering coefficient over an undirected simple
     edge list: ``clustering_ppm = 10^6 · 2·triangles(v) // (d·(d−1))`` —
@@ -987,7 +967,7 @@ def clustering_coefficients(
             }
         )
 
-    plan = _resolve_probe(probe, n_edges)
+    plan = _resolve_probe(n_edges)
     if plan == "join":
         oriented, n_edges, deg = _orient_edges(
             ecols, src_col=src_col, dst_col=dst_col, n_buckets=n_buckets
@@ -1079,8 +1059,6 @@ def kcore_members(
     k: int,
     u_col: str = "u",
     v_col: str = "v",
-    strategy: str = "auto",
-    local_threshold: int = LOCAL_CC_THRESHOLD,
     max_rounds: int = 256,
 ) -> ray.data.Dataset:
     """k-core of an undirected edge list (one row per edge, either
@@ -1090,8 +1068,8 @@ def kcore_members(
     Returns ``(node, degree)``, degree counted WITHIN the core, sorted by
     node.  Isolated nodes are never in a k-core for k ≥ 1.
 
-    ``strategy="auto"`` collects edge lists below ``local_threshold`` rows
-    and runs the vectorized numpy peel; the distributed plan runs one
+    At or below ``LOCAL_CC_THRESHOLD`` edges the edge list collects to the
+    driver for the vectorized numpy peel; the distributed plan runs one
     degree aggregate (per-block endpoint bincount partials through the
     coarse-bucket exchange) plus one broadcast dead-set edge filter per
     round, materializing the shrinking (two-int-column) edge table between
@@ -1103,8 +1081,6 @@ def kcore_members(
     escalation every broadcast op here documents)."""
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    if strategy not in ("auto", "distributed", "local"):
-        raise ValueError(f"unknown strategy {strategy!r}")
     import pyarrow.compute as pc
 
     from ..cluster import collect_table
@@ -1116,7 +1092,7 @@ def kcore_members(
         if pc.any(pc.equal(u, v)).as_py():
             # the local plan's eu<ev re-dedup would DROP a self-loop while
             # the distributed degree count would keep it — fail loud
-            # rather than let strategy='auto' pick the answer
+            # rather than let the plan choice pick the answer
             raise ValueError("kcore_members requires a self-loop-free edge list")
         return pa.concat_tables(
             [pa.table({"eu": u, "ev": v}), pa.table({"eu": v, "ev": u})]
@@ -1128,27 +1104,25 @@ def kcore_members(
         {"node": pa.array([], pa.int64()), "degree": pa.array([], pa.int64())}
     )
 
-    if strategy != "distributed":
-        n_rows = edges2.count() // 2
-        if strategy == "local" or n_rows <= local_threshold:
-            etbl = collect_table(edges2)
-            if etbl is None or etbl.num_rows == 0:
-                return ray.data.from_arrow(_EMPTY)
-            # bidir doubled every edge; keep each undirected pair once
-            # (eu < ev — the input lists no self-loops or duplicate pairs)
-            m = pc.less(etbl["eu"], etbl["ev"])
-            etbl = etbl.filter(m)
-            u = etbl["eu"].to_numpy(zero_copy_only=False)
-            v = etbl["ev"].to_numpy(zero_copy_only=False)
-            nodes, deg = _local_kcore(u, v, k)
-            return ray.data.from_arrow(
-                pa.table(
-                    {
-                        "node": pa.array(nodes, pa.int64()),
-                        "degree": pa.array(deg, pa.int64()),
-                    }
-                )
+    if edges2.count() // 2 <= LOCAL_CC_THRESHOLD:
+        etbl = collect_table(edges2)
+        if etbl is None or etbl.num_rows == 0:
+            return ray.data.from_arrow(_EMPTY)
+        # bidir doubled every edge; keep each undirected pair once
+        # (eu < ev — the input lists no self-loops or duplicate pairs)
+        m = pc.less(etbl["eu"], etbl["ev"])
+        etbl = etbl.filter(m)
+        u = etbl["eu"].to_numpy(zero_copy_only=False)
+        v = etbl["ev"].to_numpy(zero_copy_only=False)
+        nodes, deg = _local_kcore(u, v, k)
+        return ray.data.from_arrow(
+            pa.table(
+                {
+                    "node": pa.array(nodes, pa.int64()),
+                    "degree": pa.array(deg, pa.int64()),
+                }
             )
+        )
 
     import ray as _ray
 

@@ -543,9 +543,9 @@ LOGREG_CACHE_MAX_BYTES = 256 << 20
 def _logreg_horizon_check(q: np.ndarray) -> None:
     """Loud guard: a block's exact-int gradient partial Σ rᵢ·qᵢⱼ must fit
     int64 (|r| ≤ 10⁶ ppm residual per row)."""
-    nb = q.shape[0]
-    if not nb:
+    if not q.size:
         return
+    nb = q.shape[0]
     qmax = int(np.abs(q).max())
     if qmax and nb > _I64_SAFE // (qmax * 1_000_000):
         raise ValueError(
@@ -582,7 +582,7 @@ def _logreg_grad_block(
     flat = tab["q"].combine_chunks().flatten().to_numpy(
         zero_copy_only=False
     )
-    q = flat.reshape(nb, -1)
+    q = flat.reshape(nb, len(w))
     n, g0, g = _logreg_grad_kernel(q, y, w, b, scale)
     return n, g0, g.tolist()
 
@@ -595,7 +595,6 @@ def logreg_fit(
     lr: float = 10.0,
     iters: int = 50,
     scale: int = 1_000_000,
-    cache_max_bytes: int = LOGREG_CACHE_MAX_BYTES,
     cache: bool | None = None,
 ) -> tuple[np.ndarray, float, int]:
     """Full-batch logistic regression over a ``list<float>`` feature column
@@ -614,7 +613,7 @@ def logreg_fit(
 
     Each streaming iteration is ONE pass whose exchange is one
     (d+2)-int64 row per block — at 100 TB the loop costs T scans and moves
-    O(T·blocks·d) bytes.  Inputs under ``cache_max_bytes`` (metadata
+    O(T·blocks·d) bytes.  Inputs under ``LOGREG_CACHE_MAX_BYTES`` (metadata
     estimate) take the fast path instead: ONE prepare pass quantizes
     (q, y) into materialized object-store blocks, and every iteration is
     a fan-out of plain Ray tasks over those block refs — no per-iteration
@@ -631,7 +630,7 @@ def logreg_fit(
         # erases it (None → streaming), so callers that KNOW the pre-map
         # size should pass ``cache`` explicitly
         est = dataset_size_estimate(ds)
-        cached = est is not None and est <= cache_max_bytes
+        cached = est is not None and est <= LOGREG_CACHE_MAX_BYTES
     else:
         cached = cache
 
@@ -664,7 +663,7 @@ def logreg_fit(
             y = ints_to_numpy(batch[label_col])
             nb, dd = q.shape
             qcol = pa.ListArray.from_arrays(
-                pa.array(range(0, (nb + 1) * dd, dd), pa.int32()),
+                pa.array(np.arange(nb + 1, dtype=np.int32) * dd),
                 pa.array(q.ravel(), pa.int64()),
             )
             return pa.table({"y": pa.array(y, pa.int64()), "q": qcol})
@@ -728,7 +727,8 @@ def logreg_fit(
         n_total = int(pc.sum(parts["n"]).as_py() or 0)
         if n_total == 0:
             return w, b, 0
-        g_rows = [r for r in parts["g"].to_pylist() if r]
+        # keep empty lists: a zero-width feature matrix has g == []
+        g_rows = [r for r in parts["g"].to_pylist() if r is not None]
         # exact Python-int merge — layout-order-proof
         g = np.array(g_rows, dtype=object).sum(axis=0)
         g0 = sum(parts["g0"].to_pylist())

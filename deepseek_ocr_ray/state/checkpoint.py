@@ -259,7 +259,6 @@ def run_scrub_checkpointed(
     *,
     ngram: int = 5,
     min_count: int = 2,
-    probe: str = "auto",
     partitions: list[int] | None = None,
     max_partitions: int | None = None,
 ) -> dict:
@@ -267,7 +266,7 @@ def run_scrub_checkpointed(
     corpus: the GLOBAL duplicated-gram aggregate runs once per invocation
     (it is a function of the whole corpus), then each partition scrubs
     against it — via the broadcast plan or, when the dup set outgrows
-    plasma (``probe='auto'``/``'join'``), the planner join plan — and
+    plasma, the planner join plan — and
     lands atomically (tmp + rename) with a lineage manifest.  A rerun
     skips finished partitions.
 
@@ -341,7 +340,7 @@ def run_scrub_checkpointed(
         parts = [_read(p) for p in sorted(available)]
         ds_all = parts[0].union(*parts[1:]) if len(parts) > 1 else parts[0]
         dup = _dup_gram_dataset(ds_all, ngram, min_count)
-        if _resolve_probe(probe, dup) == "broadcast":
+        if _resolve_probe(dup) == "broadcast":
             dup_ref = dup_gram_ref(dup)
 
             def scrub_of(ds):

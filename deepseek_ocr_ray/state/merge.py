@@ -20,7 +20,8 @@ materialization:
 1. the change set collects to the driver and its sorted key vector
    ships ONCE via ``ray.put`` — it is the small side by construction
    (a CDC batch against a 100-TB base); a change set past
-   ``broadcast_max_bytes`` raises loudly with the escalation path
+   ``cluster.BROADCAST_MAX_BYTES`` (the join planner's per-node broadcast
+   cap, read at call time) raises loudly with the escalation path
    (bucket both sides by the same key hash and apply per bucket) named
    in the message;
 2. ONE streaming pass over base blocks masks out rows whose key is in
@@ -38,10 +39,6 @@ import ray.data
 
 __all__ = ["merge_into"]
 
-# the change set must broadcast; beyond this it needs the bucketed
-# join formulation instead (see module docstring)
-MERGE_BROADCAST_MAX_BYTES = 256 << 20
-
 
 def merge_into(
     base: ray.data.Dataset,
@@ -49,12 +46,11 @@ def merge_into(
     *,
     key_col: str,
     op_col: str = "op",
-    broadcast_max_bytes: int = MERGE_BROADCAST_MAX_BYTES,
 ) -> ray.data.Dataset:
     """Merge ``changes`` (``key_col`` + the base value columns + ``op_col``
     of ``'u'``/``'d'``) into ``base``; returns the merged Dataset with the
     base schema.  Keys must be integral; the probe casts them to int64."""
-    from ..cluster import collect_table
+    from ..cluster import BROADCAST_MAX_BYTES, collect_table
 
     base_schema = base.schema().base_schema
     val_cols = [n for n in base_schema.names if n != key_col]
@@ -65,10 +61,10 @@ def merge_into(
     if ctbl is None or ctbl.num_rows == 0:  # empty change set — identity
         return base
 
-    if ctbl.nbytes > broadcast_max_bytes:
+    if ctbl.nbytes > BROADCAST_MAX_BYTES:
         raise ValueError(
             f"change set is {ctbl.nbytes >> 20} MiB — past the "
-            f"{broadcast_max_bytes >> 20} MiB broadcast cap. Bucket base "
+            f"{BROADCAST_MAX_BYTES >> 20} MiB broadcast cap. Bucket base "
             "and changes by key and apply merge_into per bucket instead."
         )
     missing = [c for c in [key_col, op_col, *val_cols] if c not in ctbl.column_names]

@@ -884,10 +884,13 @@ def test_group_winsorized_validation(ray_session):
 
 
 @pytest.mark.parametrize("kernel", ["cube", "rollup"])
-def test_lattice_driver_vs_distributed_plan_equality(ray_session, kernel):
+def test_lattice_driver_vs_distributed_plan_equality(
+    ray_session, kernel, monkeypatch
+):
     import pandas as pd
     import ray.data
 
+    from deepseek_ocr_ray.stages import agg
     from deepseek_ocr_ray.stages.agg import cube_sum, rollup_sum
 
     rng = np.random.RandomState(23)
@@ -901,10 +904,11 @@ def test_lattice_driver_vs_distributed_plan_equality(ray_session, kernel):
     )
     fn = cube_sum if kernel == "cube" else rollup_sum
     outs = []
-    for finish in ("driver", "distributed"):
+    for driver in (True, False):
+        monkeypatch.setattr(agg, "_lattice_use_driver", lambda _b, d=driver: d)
         ds = ray.data.from_arrow(t).repartition(5)
         df = (
-            fn(ds, ["a", "b"], ["v"], finish=finish)
+            fn(ds, ["a", "b"], ["v"])
             .to_pandas()
             .sort_values(["a", "b", "v", "n"], na_position="first")
             .reset_index(drop=True)
@@ -1256,11 +1260,16 @@ def test_group_concat_validation(ray_session):
 
 
 @pytest.mark.parametrize("finish", ["driver", "distributed"])
-def test_grouping_sets_differential(ray_session, finish):
+def test_grouping_sets_differential(ray_session, finish, monkeypatch):
     import duckdb
     import pandas as pd
 
+    from deepseek_ocr_ray.stages import agg
     from deepseek_ocr_ray.stages.agg import grouping_sets_sum
+
+    monkeypatch.setattr(
+        agg, "_lattice_use_driver", lambda _base: finish == "driver"
+    )
 
     rng = np.random.RandomState(2)
     n = 700
@@ -1286,7 +1295,6 @@ ORDER BY a NULLS FIRST, b NULLS FIRST
             ["a", "b"],
             [("a", "b"), ("b",), ()],
             ["v"],
-            finish=finish,
         )
         .to_pandas()
         .sort_values(["a", "b"], na_position="first")

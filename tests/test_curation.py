@@ -10,6 +10,7 @@ import pyarrow as pa
 import pytest
 
 from deepseek_ocr_ray.pipelines import curation
+from deepseek_ocr_ray.stages import graph
 
 
 # ---------------------------------------------------------------------------
@@ -197,7 +198,7 @@ def test_cc_basic_components(ray_session):
     assert got == {1: 1, 2: 1, 3: 1, 4: 4, 5: 5, 6: 5}
 
 
-def test_cc_long_chain_converges(ray_session):
+def test_cc_long_chain_converges(ray_session, monkeypatch):
     # a path graph is the worst case for plain min-propagation (diameter
     # rounds); 12 nodes must still converge inside the default bound —
     # forced through the DISTRIBUTED rounds (auto would go local here)
@@ -215,13 +216,12 @@ def test_cc_long_chain_converges(ray_session):
         )
     )
     nd = ray.data.from_arrow(pa.table({"id": pa.array(range(n), pa.int64())}))
-    out = connected_components(
-        e, nd, u_col="id_a", v_col="id_b", strategy="distributed"
-    ).to_pandas()
+    monkeypatch.setattr(graph, "LOCAL_CC_THRESHOLD", -1)  # distributed
+    out = connected_components(e, nd, u_col="id_a", v_col="id_b").to_pandas()
     assert dict(zip(out["id"], out["cluster_id"])) == {i: 0 for i in range(n)}
 
 
-def test_cc_local_and_distributed_plans_equal(ray_session):
+def test_cc_local_and_distributed_plans_equal(ray_session, monkeypatch):
     """The auto-select threshold must never change answers: random graphs
     through the driver-side numpy plan and the shuffle-join rounds give
     identical components."""
@@ -242,11 +242,10 @@ def test_cc_local_and_distributed_plans_equal(ray_session):
             pa.table({"id": pa.array(range(n), pa.int64())})
         )
         outs = []
-        for strat in ("local", "distributed"):
+        for threshold in (1 << 62, -1):  # local, distributed
+            monkeypatch.setattr(graph, "LOCAL_CC_THRESHOLD", threshold)
             df = (
-                connected_components(
-                    e, nd, u_col="id_a", v_col="id_b", strategy=strat
-                )
+                connected_components(e, nd, u_col="id_a", v_col="id_b")
                 .to_pandas()
                 .sort_values("id")
                 .reset_index(drop=True)
@@ -255,7 +254,7 @@ def test_cc_local_and_distributed_plans_equal(ray_session):
         assert outs[0].equals(outs[1]), f"trial {trial} plans disagree"
 
 
-def test_cc_nonconvergence_raises(ray_session):
+def test_cc_nonconvergence_raises(ray_session, monkeypatch):
     import ray.data
 
     from deepseek_ocr_ray.stages.graph import connected_components
@@ -267,11 +266,9 @@ def test_cc_nonconvergence_raises(ray_session):
         )
     )
     nd = ray.data.from_arrow(pa.table({"id": pa.array(range(4), pa.int64())}))
+    monkeypatch.setattr(graph, "LOCAL_CC_THRESHOLD", -1)  # distributed
     with pytest.raises(RuntimeError, match="converge"):
-        connected_components(
-            e, nd, u_col="id_a", v_col="id_b", max_iters=1,
-            strategy="distributed",
-        )
+        connected_components(e, nd, u_col="id_a", v_col="id_b", max_iters=1)
 
 
 # ---------------------------------------------------------------------------
@@ -854,20 +851,19 @@ def test_line_dedup_scrub_fixture(ray_session, tmp_path):
     assert out.loc[5, "n_lines"] == 1
 
 
-def test_line_dedup_scrub_plan_equality(ray_session, tmp_path):
+def test_line_dedup_scrub_plan_equality(ray_session, tmp_path, monkeypatch):
     import pandas as pd
 
     d = _line_corpus(tmp_path)
-    b = curation.line_dedup_scrub(d, probe="broadcast").to_pandas()
-    j = curation.line_dedup_scrub(d, probe="join").to_pandas()
+    b = curation.line_dedup_scrub(d).to_pandas()  # broadcast at this size
+    b2 = curation.line_dedup_scrub("/root/testdata/sf0.001").to_pandas()
+    monkeypatch.setattr(curation, "_resolve_probe", lambda dup: "join")
+    j = curation.line_dedup_scrub(d).to_pandas()
     pd.testing.assert_frame_equal(
         b.reset_index(drop=True), j.reset_index(drop=True)
     )
     # and on the real sf0.001 corpus
-    b2 = curation.line_dedup_scrub("/root/testdata/sf0.001").to_pandas()
-    j2 = curation.line_dedup_scrub(
-        "/root/testdata/sf0.001", probe="join"
-    ).to_pandas()
+    j2 = curation.line_dedup_scrub("/root/testdata/sf0.001").to_pandas()
     pd.testing.assert_frame_equal(
         b2.reset_index(drop=True), j2.reset_index(drop=True)
     )

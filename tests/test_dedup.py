@@ -174,34 +174,52 @@ def test_dedup_deterministic_across_parallelism(ray_session, blocks):
     )
 
 
-def test_ngram_dedup_join_path_equals_carry(ray_session):
+def _force_pair_plan(monkeypatch, plan):
+    """Force the ngram verify plan through its module budget: ``local``
+    verifies every pair set on the driver, ``distributed`` none."""
+    monkeypatch.setattr(
+        dedup, "NGRAM_LOCAL_MAX_PAIRS", 1 << 62 if plan == "local" else -1
+    )
+
+
+def test_ngram_dedup_join_path_equals_carry(ray_session, monkeypatch):
     """verify="join" (the 10^12-row plan: pairs → text join → anti-join)
     must keep exactly the same ids as the carry-text plan — under BOTH
-    pair plans (driver-local verify and the distributed text joins)."""
+    pair plans (driver-local verify and the distributed text joins), and
+    under both join-planner plans for the distributed one."""
+    from deepseek_ocr_ray import cluster
+
     carry = sorted(
         dedup.ngram_jaccard_dedup(
             _ds(_corpus()), ngram=3, threshold=0.6
         ).to_pandas()["doc_id"]
     )
-    for plan in ("local", "distributed", "auto"):
+    default_cap = cluster.BROADCAST_MAX_BYTES
+    for plan, cap in (
+        ("local", default_cap),
+        ("distributed", default_cap),
+        ("distributed", 0),
+    ):
+        _force_pair_plan(monkeypatch, plan)
+        monkeypatch.setattr(cluster, "BROADCAST_MAX_BYTES", cap)
         join = sorted(
             dedup.ngram_jaccard_dedup(
                 _ds(_corpus()), ngram=3, threshold=0.6, verify="join",
-                pair_plan=plan,
             ).to_pandas()["doc_id"]
         )
-        assert carry == join, plan
+        assert carry == join, (plan, cap)
         assert 1 not in join and 0 in join
 
 
-def test_ngram_dedup_join_path_parallelism_invariant(ray_session):
+def test_ngram_dedup_join_path_parallelism_invariant(ray_session, monkeypatch):
     """Neither pair plan's kept set may depend on block layout."""
     for plan in ("local", "distributed"):
+        _force_pair_plan(monkeypatch, plan)
         outs = [
             sorted(
                 dedup.ngram_jaccard_dedup(
                     _ds(_corpus(), blocks=b), ngram=3, threshold=0.6,
-                    verify="join", pair_plan=plan,
+                    verify="join",
                 ).to_pandas()["doc_id"]
             )
             for b in (1, 3, 7)
@@ -209,53 +227,47 @@ def test_ngram_dedup_join_path_parallelism_invariant(ray_session):
         assert outs[0] == outs[1] == outs[2], plan
 
 
-def test_ngram_dedup_join_path_no_candidates(ray_session):
+def test_ngram_dedup_join_path_no_candidates(ray_session, monkeypatch):
     """A corpus with no LSH collisions exercises the empty-pairs path of
     both plans."""
     tbl = _corpus().slice(3, 7)  # mutually dissimilar docs only
     for plan in ("local", "distributed"):
+        _force_pair_plan(monkeypatch, plan)
         kept = sorted(
             dedup.ngram_jaccard_dedup(
                 _ds(tbl), ngram=3, threshold=0.6, verify="join",
-                pair_plan=plan,
             ).to_pandas()["doc_id"]
         )
         assert kept == list(range(3, 10)), plan
 
 
-def test_ngram_dedup_local_budget_fallback(ray_session):
+def test_ngram_dedup_local_budget_fallback(ray_session, monkeypatch):
     """A text-byte budget of 1 forces _ngram_local_verify to abort its
-    driver collect; the auto/local plans must fall back to the
-    distributed joins and still produce the exact kept set."""
+    driver collect; the local plan must fall back to the distributed
+    joins and still produce the exact kept set."""
+    _force_pair_plan(monkeypatch, "distributed")
     want = sorted(
         dedup.ngram_jaccard_dedup(
             _ds(_corpus()), ngram=3, threshold=0.6, verify="join",
-            pair_plan="distributed",
         ).to_pandas()["doc_id"]
     )
-    for plan in ("auto", "local"):
-        got = sorted(
-            dedup.ngram_jaccard_dedup(
-                _ds(_corpus()), ngram=3, threshold=0.6, verify="join",
-                pair_plan=plan, local_max_bytes=1,
-            ).to_pandas()["doc_id"]
-        )
-        assert got == want, plan
-
-
-def test_ngram_dedup_rejects_bad_pair_plan(ray_session):
-    import pytest as _pytest
-
-    with _pytest.raises(ValueError, match="pair_plan"):
+    _force_pair_plan(monkeypatch, "local")
+    monkeypatch.setattr(dedup, "NGRAM_LOCAL_MAX_TEXT_BYTES", 1)
+    got = sorted(
         dedup.ngram_jaccard_dedup(
-            _ds(_corpus()), verify="join", pair_plan="driver"
-        )
+            _ds(_corpus()), ngram=3, threshold=0.6, verify="join",
+        ).to_pandas()["doc_id"]
+    )
+    assert got == want
 
 
-def test_incremental_exact_dedup_both_plans(ray_session):
+def test_incremental_exact_dedup_both_plans(ray_session, monkeypatch):
     """New docs already present in the existing corpus are filtered; the
-    broadcast and left_anti join plans keep identical ids."""
+    broadcast and keyed-exchange plans of the planner's left_anti join
+    keep the naive answer."""
     import ray.data
+
+    from deepseek_ocr_ray import cluster
 
     existing = pa.table(
         {
@@ -271,18 +283,13 @@ def test_incremental_exact_dedup_both_plans(ray_session):
     )
     e = ray.data.from_arrow(existing).repartition(2)
     n = ray.data.from_arrow(new).repartition(2)
-    bc = sorted(
-        r["doc_id"]
-        for r in dedup.incremental_exact_dedup(n, e).take_all()
-    )
-    jn = sorted(
-        r["doc_id"]
-        for r in dedup.incremental_exact_dedup(
-            n, e, broadcast_threshold=0
-        ).take_all()
-    )
-    assert bc == [11, 13]  # beta/alpha already exist
-    assert jn == bc
+    for cap in (cluster.BROADCAST_MAX_BYTES, 0):
+        monkeypatch.setattr(cluster, "BROADCAST_MAX_BYTES", cap)
+        kept = sorted(
+            r["doc_id"]
+            for r in dedup.incremental_exact_dedup(n, e).take_all()
+        )
+        assert kept == [11, 13], cap  # beta/alpha already exist
 
 
 def test_band_key_scalar_matches_matrix():
@@ -479,7 +486,9 @@ def test_signatures_batch_chunked_and_sliced():
         assert np.array_equal(got2[i], want)
 
 
-def test_ngram_dedup_local_duplicate_ids_match_distributed(ray_session):
+def test_ngram_dedup_local_duplicate_ids_match_distributed(
+    ray_session, monkeypatch
+):
     """A DUPLICATED id verifies if ANY of its rows does — the inner join
     replicates the pair per matching row, and the local plan must agree."""
     import pyarrow as pa
@@ -496,22 +505,24 @@ def test_ngram_dedup_local_duplicate_ids_match_distributed(ray_session):
     )
     outs = {}
     for plan in ("local", "distributed"):
+        _force_pair_plan(monkeypatch, plan)
         outs[plan] = sorted(
             dedup.ngram_jaccard_dedup(
                 ray.data.from_arrow(tbl), ngram=3, threshold=0.5,
-                verify="join", pair_plan=plan,
+                verify="join",
             ).to_pandas()["doc_id"]
         )
     assert outs["local"] == outs["distributed"]
     assert 5 not in outs["local"]  # the near-dup row condemns the id
 
 
-def test_ngram_dedup_local_int64_ids_on_every_path(ray_session):
+def test_ngram_dedup_local_int64_ids_on_every_path(ray_session, monkeypatch):
     """int32 input ids: the local plan's no-candidates early return and
     its anti path must both emit int64, matching the distributed plans."""
     import pyarrow as pa
     import ray
 
+    _force_pair_plan(monkeypatch, "local")
     tbl = pa.table(
         {
             "doc_id": pa.array([1, 2, 3], pa.int32()),
@@ -519,17 +530,7 @@ def test_ngram_dedup_local_int64_ids_on_every_path(ray_session):
         }
     )
     out = dedup.ngram_jaccard_dedup(
-        ray.data.from_arrow(tbl), ngram=3, threshold=0.5,
-        verify="join", pair_plan="local",
+        ray.data.from_arrow(tbl), ngram=3, threshold=0.5, verify="join",
     )
     assert out.schema().base_schema.field("doc_id").type == pa.int64()
     assert sorted(r["doc_id"] for r in out.take_all()) == [1, 2, 3]
-
-
-def test_ngram_dedup_carry_rejects_pair_plan(ray_session):
-    import pytest as _pytest
-
-    with _pytest.raises(ValueError, match="pair_plan"):
-        dedup.ngram_jaccard_dedup(
-            _ds(_corpus()), verify="carry", pair_plan="local"
-        )

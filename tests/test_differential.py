@@ -608,7 +608,7 @@ def _rand_line_docs_dir(tmp_path, seed: int) -> str:
 
 
 @pytest.mark.parametrize("seed", [18, 36, 54])
-def test_line_dedup_scrub_fuzz(ray_session, tmp_path, seed):
+def test_line_dedup_scrub_fuzz(ray_session, tmp_path, seed, monkeypatch):
     from deepseek_ocr_ray.pipelines import curation
 
     d = _rand_line_docs_dir(tmp_path, seed)
@@ -616,8 +616,9 @@ def test_line_dedup_scrub_fuzz(ray_session, tmp_path, seed):
     want = _run_oracle(curation.LINE_DEDUP_SCRUB_SQL, "documents", d)
     assert got.sort_index(axis=1).equals(want.sort_index(axis=1))
     # and the join plan agrees
+    monkeypatch.setattr(curation, "_resolve_probe", lambda dup: "join")
     gj = (
-        curation.line_dedup_scrub(d, probe="join")
+        curation.line_dedup_scrub(d)
         .to_pandas()
         .reset_index(drop=True)
     )

@@ -239,33 +239,53 @@ def test_range_join_random_vs_naive(ray_session):
     assert sorted(zip(got.lid, got.rid)) == want
 
 
-def test_customers_without_orders_join_path_equals_broadcast(ray_session):
-    """Forcing broadcast_threshold=0 routes through the distributed
-    left_outer anti-join; it must produce the same rows as the broadcast
-    path (the default at this SF)."""
-    from deepseek_ocr_ray.pipelines.analytics import customers_without_orders
-
-    sf = "/root/testdata/sf0.001"
-    bc = customers_without_orders(sf).to_pandas()
-    jn = customers_without_orders(sf, broadcast_threshold=0).to_pandas()
-    key = ["c_custkey", "c_mktsegment"]
-    bc = bc.sort_values(key).reset_index(drop=True)
-    jn = jn.sort_values(key).reset_index(drop=True)
-    assert len(bc) > 0
-    assert bc[key].equals(jn[key])
+_ORACLE_SF = "/root/testdata/sf0.001"
 
 
-def test_suppliers_semi_join_path_equals_broadcast(ray_session):
-    from deepseek_ocr_ray.pipelines.analytics import suppliers_with_lineitems
+def _oracle_under_both_caps(monkeypatch, name: str) -> None:
+    """Run ``queries()[name]`` with the join planner's broadcast cap at its
+    default and at 0 (every planner join takes the keyed exchange); both
+    must equal the DuckDB oracle, order-insensitively."""
+    import duckdb
 
-    sf = "/root/testdata/sf0.001"
-    bc = suppliers_with_lineitems(sf).to_pandas()
-    jn = suppliers_with_lineitems(sf, broadcast_threshold=0).to_pandas()
-    key = ["s_suppkey", "s_name"]
-    bc = bc.sort_values(key).reset_index(drop=True)
-    jn = jn.sort_values(key).reset_index(drop=True)
-    assert len(bc) > 0
-    assert bc[key].equals(jn[key])
+    import __ray_entry__ as e
+    from deepseek_ocr_ray import cluster
+
+    con = duckdb.connect()
+    for t in ("customer", "orders", "lineitem", "supplier", "documents"):
+        con.execute(
+            f"CREATE VIEW {t} AS SELECT * FROM '{_ORACLE_SF}/{t}.parquet'"
+        )
+    want = con.sql(e.oracle_sql()[name]).df()
+    cols = sorted(want.columns)
+    want = want[cols].sort_values(cols).reset_index(drop=True)
+    assert len(want) > 0, name
+    for cap in (cluster.BROADCAST_MAX_BYTES, 0):
+        monkeypatch.setattr(cluster, "BROADCAST_MAX_BYTES", cap)
+        got = e.queries()[name](_ORACLE_SF).to_pandas()
+        got = got[cols].sort_values(cols).reset_index(drop=True)
+        assert got.astype(str).equals(want.astype(str)), (name, cap)
+
+
+def test_customers_without_orders_join_path_equals_broadcast(
+    ray_session, monkeypatch
+):
+    """The planner's broadcast and keyed-exchange left_anti plans both
+    give DuckDB's NOT EXISTS rows."""
+    _oracle_under_both_caps(monkeypatch, "customers_without_orders")
+
+
+def test_suppliers_semi_join_path_equals_broadcast(ray_session, monkeypatch):
+    _oracle_under_both_caps(monkeypatch, "suppliers_with_lineitems")
+
+
+def test_dedup_ngram_both_join_plans_match_oracle(ray_session, monkeypatch):
+    """The distributed verify route (driver-local verify disabled) runs
+    the two text joins and the dropped-set anti join under each plan."""
+    from deepseek_ocr_ray.stages import dedup
+
+    monkeypatch.setattr(dedup, "NGRAM_LOCAL_MAX_PAIRS", -1)
+    _oracle_under_both_caps(monkeypatch, "dedup_ngram")
 
 
 def test_asof_right_tiebreak_picks_max(ray_session):

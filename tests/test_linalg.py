@@ -507,6 +507,32 @@ def test_logreg_validation(ray_session):
         )
 
 
+def test_logreg_zero_width_features_cached_equals_streaming(ray_session):
+    """A zero-width embedding column fits the intercept alone, with the
+    same (w, b, n) from the cached block-ref loop and the streaming pass."""
+    import ray.data
+
+    from deepseek_ocr_ray.stages.linalg import logreg_fit
+
+    t = pa.table(
+        {
+            "y": pa.array([0, 1, 1, 1, 0, 1], pa.int64()),
+            "embedding": pa.array([[]] * 6, pa.list_(pa.float32())),
+        }
+    )
+    fits = [
+        logreg_fit(
+            ray.data.from_arrow(t).repartition(3),
+            label_col="y", lr=2.0, iters=5, cache=cache,
+        )
+        for cache in (True, False)
+    ]
+    (wc, bc, nc), (ws, bs, ns) = fits
+    assert wc.shape == ws.shape == (0,)
+    assert nc == ns == 6
+    assert bc == bs and bc > 0  # 4 of 6 labels are 1
+
+
 def test_embedding_logreg_query(ray_session):
     from deepseek_ocr_ray.pipelines.analytics import embedding_logreg
 

@@ -110,13 +110,16 @@ def test_merge_missing_value_column_raises():
         merge_into(_base(), ch, key_col="k").to_pandas()
 
 
-def test_merge_broadcast_cap_raises():
+def test_merge_broadcast_cap_raises(monkeypatch):
+    # the change-set cap is the join planner's broadcast cap, read per call
+    from deepseek_ocr_ray import cluster
+
+    monkeypatch.setattr(cluster, "BROADCAST_MAX_BYTES", 8)
     with pytest.raises(ValueError, match="broadcast cap"):
         merge_into(
             _base(),
             _changes([(2, "x" * 64, 1, "u")]),
             key_col="k",
-            broadcast_max_bytes=8,
         ).to_pandas()
 
 

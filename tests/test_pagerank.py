@@ -167,9 +167,10 @@ def test_clustering_coefficients_known(ray_session):
     assert out.index.tolist() == [1, 2, 3, 4, 5, 6]
 
 
-def test_triangle_probe_plans_equal(ray_session):
+def test_triangle_probe_plans_equal(ray_session, monkeypatch):
     """broadcast (in-walk closure) and join (composite-key planner) plans
     must agree exactly — totals AND per-node attributions."""
+    from deepseek_ocr_ray.stages import graph
     from deepseek_ocr_ray.stages.graph import (
         clustering_coefficients,
         triangle_count,
@@ -190,11 +191,12 @@ def test_triangle_probe_plans_equal(ray_session):
         }
     )
     ds = lambda: ray.data.from_arrow(edges).repartition(4)  # noqa: E731
-    a = triangle_count(ds(), probe="broadcast").to_pandas()
-    b = triangle_count(ds(), probe="join").to_pandas()
+    a = triangle_count(ds()).to_pandas()  # broadcast at this size
+    ca = clustering_coefficients(ds()).to_pandas()
+    monkeypatch.setattr(graph, "_TRIANGLE_BROADCAST_MAX_EDGES", -1)
+    b = triangle_count(ds()).to_pandas()
     assert a.equals(b)
-    ca = clustering_coefficients(ds(), probe="broadcast").to_pandas()
-    cb = clustering_coefficients(ds(), probe="join").to_pandas()
+    cb = clustering_coefficients(ds()).to_pandas()
     import pandas as pd
 
     pd.testing.assert_frame_equal(ca, cb)
@@ -241,10 +243,11 @@ def test_kcore_empty_core(ray_session):
     assert len(out) == 0
 
 
-def test_kcore_plan_equality(ray_session):
+def test_kcore_plan_equality(ray_session, monkeypatch):
     import numpy as np
     import pandas as pd
 
+    from deepseek_ocr_ray.stages import graph
     from deepseek_ocr_ray.stages.graph import kcore_members
 
     rng = np.random.RandomState(7)
@@ -255,8 +258,10 @@ def test_kcore_plan_equality(ray_session):
             pairs.add((min(a, b), max(a, b)))
     ds = _edge_ds(sorted(pairs))
     for k in (2, 4, 7):
-        loc = kcore_members(ds, k=k, strategy="local").to_pandas()
-        dist = kcore_members(ds, k=k, strategy="distributed").to_pandas()
+        monkeypatch.setattr(graph, "LOCAL_CC_THRESHOLD", 1 << 62)
+        loc = kcore_members(ds, k=k).to_pandas()
+        monkeypatch.setattr(graph, "LOCAL_CC_THRESHOLD", -1)
+        dist = kcore_members(ds, k=k).to_pandas()
         pd.testing.assert_frame_equal(
             loc.reset_index(drop=True), dist.reset_index(drop=True)
         )
@@ -336,7 +341,7 @@ def test_clustering_matches_brute_force_triples(ray_session, seed):
     )
     out = (
         clustering_coefficients(
-            ray.data.from_arrow(edges).repartition(4), probe="broadcast"
+            ray.data.from_arrow(edges).repartition(4)
         )
         .to_pandas()
         .set_index("node")
@@ -414,23 +419,23 @@ def test_broadcast_walk_multi_task_equals_single(ray_session, monkeypatch):
             "y": pa.array([p[1] for p in pairs], pa.int64()),
         }
     )
-    base = clustering_coefficients(
-        ray.data.from_arrow(edges), probe="broadcast"
-    ).to_pandas()
+    # both runs take the broadcast plan (the edge set is far below its cap)
+    base = clustering_coefficients(ray.data.from_arrow(edges)).to_pandas()
     monkeypatch.setattr(G, "_WEDGES_PER_TASK", 3)
-    many = clustering_coefficients(
-        ray.data.from_arrow(edges), probe="broadcast"
-    ).to_pandas()
+    many = clustering_coefficients(ray.data.from_arrow(edges)).to_pandas()
     import pandas as pd
 
     pd.testing.assert_frame_equal(base, many)
 
 
 @pytest.mark.parametrize("seed", [2, 9])
-def test_pagerank_local_vs_distributed_plan_equality(ray_session, seed):
+def test_pagerank_local_vs_distributed_plan_equality(
+    ray_session, seed, monkeypatch
+):
     import numpy as np
     import ray.data
 
+    from deepseek_ocr_ray.stages import graph
     from deepseek_ocr_ray.stages.graph import pagerank_int
 
     rng = np.random.RandomState(seed)
@@ -444,10 +449,11 @@ def test_pagerank_local_vs_distributed_plan_equality(ray_session, seed):
     ev = np.concatenate([v, u])
     t = pa.table({"src": pa.array(eu), "dst": pa.array(ev)})
     outs = []
-    for strat in ("local", "distributed"):
+    for threshold in (1 << 62, -1):  # local, distributed
+        monkeypatch.setattr(graph, "LOCAL_CC_THRESHOLD", threshold)
         ds = ray.data.from_arrow(t).repartition(4)
         df = (
-            pagerank_int(ds, strategy=strat, num_iters=3)
+            pagerank_int(ds, num_iters=3)
             .to_pandas()
             .sort_values("node")
             .reset_index(drop=True)

@@ -231,7 +231,7 @@ def test_differential_vs_duckdb(ray_session, tmp_path, seed):
     assert got2[sorted(got2.columns)].equals(want2[sorted(want2.columns)])
 
 
-def test_join_probe_equals_broadcast(ray_session, tmp_path):
+def test_join_probe_equals_broadcast(ray_session, tmp_path, monkeypatch):
     """The at-scale join plan (occurrence semi-join + doc-keyed merge +
     span-list join-back) makes decisions byte-identical to the broadcast
     plan, for both the finder and the scrub, on a skewed random corpus."""
@@ -245,15 +245,17 @@ def test_join_probe_equals_broadcast(ray_session, tmp_path):
     ]
     tmp = _write_corpus(tmp_path, texts, files=4)
     for fn in (curation.substring_dup_spans, curation.substring_dup_scrub):
-        a = fn(tmp, ngram=3, probe="broadcast").to_pandas()
-        b = fn(tmp, ngram=3, probe="join").to_pandas()
+        monkeypatch.setattr(curation, "_resolve_probe", lambda dup: "broadcast")
+        a = fn(tmp, ngram=3).to_pandas()
+        monkeypatch.setattr(curation, "_resolve_probe", lambda dup: "join")
+        b = fn(tmp, ngram=3).to_pandas()
         assert a.reset_index(drop=True).equals(b.reset_index(drop=True))
     assert len(a) == len(texts)
 
 
 def test_probe_auto_resolution(ray_session, tmp_path):
-    """auto picks broadcast while the dup-gram set fits the cap and join
-    beyond it (exercised by shrinking the cap via monkeypatched estimate)."""
+    """The probe choice is broadcast while the dup-gram set fits the cap
+    and join beyond it (exercised by a monkeypatched estimate)."""
     from deepseek_ocr_ray.pipelines.curation import _resolve_probe
 
     tmp = _write_corpus(tmp_path, ["a b c d", "a b c d"])
@@ -263,15 +265,14 @@ def test_probe_auto_resolution(ray_session, tmp_path):
         2,
         2,
     )
-    assert _resolve_probe("auto", dup) == "broadcast"  # tiny set
-    assert _resolve_probe("join", dup) == "join"
+    assert _resolve_probe(dup) == "broadcast"  # tiny set
 
     import deepseek_ocr_ray.cluster as cluster_mod
 
     real = cluster_mod.dataset_size_estimate
     try:
         cluster_mod.dataset_size_estimate = lambda _ds: 10**12
-        assert _resolve_probe("auto", dup) == "join"
+        assert _resolve_probe(dup) == "join"
     finally:
         cluster_mod.dataset_size_estimate = real
 
@@ -420,7 +421,7 @@ def test_source_dup_stats_engineered(ray_session, tmp_path):
     assert got == {"a": (2, 1, 1), "b": (4, 3, 1)}
 
 
-def test_doc_dup_fraction_join_probe(ray_session, tmp_path):
+def test_doc_dup_fraction_join_probe(ray_session, tmp_path, monkeypatch):
     """The join escalation produces byte-identical per-doc scores to the
     broadcast plan on a skewed random corpus."""
     rng = np.random.default_rng(13)
@@ -432,8 +433,9 @@ def test_doc_dup_fraction_join_probe(ray_session, tmp_path):
         for _ in range(120)
     ]
     tmp = _write_corpus(tmp_path, texts, files=3)
-    a = curation.doc_dup_fraction(tmp, ngram=3, probe="broadcast").to_pandas()
-    b = curation.doc_dup_fraction(tmp, ngram=3, probe="join").to_pandas()
+    a = curation.doc_dup_fraction(tmp, ngram=3).to_pandas()  # broadcast
+    monkeypatch.setattr(curation, "_resolve_probe", lambda dup: "join")
+    b = curation.doc_dup_fraction(tmp, ngram=3).to_pandas()
     assert a.reset_index(drop=True).equals(
         b[a.columns].reset_index(drop=True)
     )
