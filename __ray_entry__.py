@@ -345,8 +345,8 @@ def _q7_nation_volume(sf_dir: str) -> Any:
 
 
 def _dedup_ngram(sf_dir: str) -> Any:
-    """Default plan is now verify="join" — the at-scale route (text moves
-    once per candidate pair, never replicated per band row)."""
+    """Exact 3-gram Jaccard dedup: text moves once per candidate pair,
+    never replicated per band row."""
     ds = analytics.read_table(sf_dir, "documents", columns=["doc_id", "text"])
     return dedup.ngram_jaccard_dedup(ds, ngram=3, threshold=0.8)
 
@@ -388,14 +388,6 @@ def _dedup_minhash_incremental(sf_dir: str) -> Any:
     existing = ds.filter(expr=f"doc_id < {cut}")
     new = ds.filter(expr=f"doc_id >= {cut}")
     return dedup.incremental_minhash_dedup(new, existing, threshold=0.8)
-
-
-def _dedup_ngram_carry(sf_dir: str) -> Any:
-    """Explicit carry-text plan (text replicated per band row — one fewer
-    exchange, small-corpus only); must keep exactly the same ids as the
-    default join plan, so it shares the dedup_ngram fixture oracle."""
-    ds = analytics.read_table(sf_dir, "documents", columns=["doc_id", "text"])
-    return dedup.ngram_jaccard_dedup(ds, ngram=3, threshold=0.8, verify="carry")
 
 
 def _dedup_embedding(sf_dir: str) -> Any:
@@ -2567,7 +2559,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "profile_orders": _profile_orders,
         "user_event_stats": analytics.user_event_stats,
         "quality_filter_by_lang": analytics.quality_filter_by_lang,
-        "user_day_activity_fused": analytics.user_day_activity_fused,
         "events_hopping": _events_hopping,
         "doc_ntile_by_lang": _doc_ntile_by_lang,
         "orders_monthly_growth": _orders_monthly_growth,
@@ -2579,7 +2570,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "documents_k_per_lang": analytics.documents_k_per_lang,
         "users_by_type_exact": _users_by_type_exact,
         "documents_sample_weighted_fast": analytics.documents_sample_weighted_fast,
-        "dedup_ngram_carry": _dedup_ngram_carry,
         "user_day_activity": analytics.user_day_activity,
         "doc_rank_by_lang": _doc_rank_by_lang,
         "value_quantiles_by_type": _value_quantiles_by_type,
@@ -2751,7 +2741,16 @@ FROM t ORDER BY doc_id
 # ---------------------------------------------------------------------------
 
 _FIXTURES = os.path.join(os.path.dirname(os.path.abspath(__file__)), "fixtures")
-_CORPUS_TAG_SQL = "(SELECT CAST(sum(n_chars) AS BIGINT) FROM documents)"
+# The corpus tag (total document chars) picks a fixture oracle's rows.  A
+# tag with no committed rows (an unsupported scale) raises instead of
+# reading as an empty expected result.
+_CORPUS_TAG_SQL = f"""(
+  SELECT CASE WHEN t.tag IN (
+           SELECT corpus_tag
+           FROM read_parquet('{_FIXTURES}/expected_dedup_kept.parquet'))
+         THEN t.tag
+         ELSE error('no fixture rows for corpus tag ' || t.tag) END
+  FROM (SELECT CAST(sum(n_chars) AS BIGINT) AS tag FROM documents) t)"""
 
 
 def _kept_fixture_sql(name: str, out_col: str) -> str:
@@ -3186,7 +3185,6 @@ GROUP BY 1 ORDER BY 1
         "dedup_simhash": _kept_fixture_sql("dedup_simhash", "doc_id"),
         "dedup_semantic": _kept_fixture_sql("dedup_semantic", "vec_id"),
         "dedup_ngram": _kept_fixture_sql("dedup_ngram", "doc_id"),
-        "dedup_ngram_carry": _kept_fixture_sql("dedup_ngram", "doc_id"),
         "user_rfm": analytics.USER_RFM_SQL,
         "basket_pairs": analytics.BASKET_PAIRS_SQL,
         "events_anomaly": analytics.EVENTS_ANOMALY_SQL,
@@ -3378,7 +3376,6 @@ ORDER BY r.doc_id
         "user_day_activity": analytics.USER_DAY_ACTIVITY_SQL,
         "user_event_stats": analytics.USER_EVENT_STATS_SQL,
         "quality_filter_by_lang": analytics.QUALITY_FILTER_BY_LANG_SQL,
-        "user_day_activity_fused": analytics.USER_DAY_ACTIVITY_SQL,
         "q3_shipping": analytics.Q3_SQL,
         "part_type_stats": analytics.PART_TYPE_SQL,
         "customers_without_orders": analytics.CUSTOMERS_WITHOUT_ORDERS_SQL,

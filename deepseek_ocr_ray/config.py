@@ -122,13 +122,10 @@ class PipelineConfig:
     gpu_memory_gb: float | None = None
     gpu_memory_utilization: float = 0.85
     cpu_batch_size: int = 256
-    # hash-partitioning width for checkpointed runs
+    # hash-partitioning width for checkpointed runs: ``partition_id`` is
+    # the per-doc md5 low-32 bucket (``assemble.stable_bucket``), the rule
+    # the reference oracle pins
     num_partitions: int = 16
-    # partition_id derivation: "fast" (vectorized engine hash — C-speed
-    # over the Arrow buffers, the production default) or "md5" (per-doc
-    # md5 low-32 — the SQL/reference-parity rule the fixture oracle pins;
-    # same convention as the samplers' method="md5")
-    partition_id_mode: str = "fast"
     # units per salt chunk for exchange="salted" (skew defusal: no assembly
     # group holds more than ~this many units of one document)
     salt_span: int = 64

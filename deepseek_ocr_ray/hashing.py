@@ -3,13 +3,12 @@
 Every keyed exchange in the engine buckets rows by a process-stable hash
 (Python's ``hash()`` is salted per process and must never partition data).
 Integer keys use a splitmix64-style mix (vectorized, allocation-free);
-string keys use md5 (C-speed, stable).  Centralized here so dedup, joins,
+string keys use ``string_hash64`` (a vectorized hash over the raw Arrow
+buffers).  Centralized here so dedup, joins,
 windows and assembly cannot drift apart.
 """
 
 from __future__ import annotations
-
-import hashlib
 
 import numpy as np
 import pyarrow as pa
@@ -22,12 +21,6 @@ def splitmix_bucket(vals: np.ndarray, n_buckets: int) -> np.ndarray:
     x *= np.uint64(0xFF51AFD7ED558CCD)
     x ^= x >> np.uint64(33)
     return (x % np.uint64(n_buckets)).astype(np.int64)
-
-
-def md5_bucket(value: str | bytes, n_buckets: int) -> int:
-    if isinstance(value, str):
-        value = value.encode()
-    return int.from_bytes(hashlib.md5(value).digest()[:4], "little") % n_buckets
 
 
 def mix64(x: np.ndarray) -> np.ndarray:

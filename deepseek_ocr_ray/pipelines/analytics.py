@@ -37,7 +37,6 @@ from ..cluster import (
     assembly_buckets_for_bytes,
     dataset_size_estimate,
     equi_join,
-    equi_join_multi,
     table_file_bytes,
 )
 from ..functions import text_stats
@@ -1452,60 +1451,45 @@ USER_DAY_VALUE_THRESHOLD = 150.0
 
 
 def user_day_activity(sf_dir: str) -> ray.data.Dataset:
-    """Composite-key join: per-(user, day) TOTAL event activity ⋈ per-(user,
-    day) HIGH-VALUE activity (``value >= 150``) — "how active was the user
-    on the days they produced a high-value event".  Both sides pre-aggregate
-    BEFORE the join (map-combined groupbys), so the exchange carries one row
-    per key, and the join itself runs through ``equi_join_multi`` (64-bit
-    combined key + exact-equality verify — collision-safe at any scale).
-
-    Both aggregations use the coarse-bucket C++ path
-    (``stages.agg.bucket_groupby_sum``): at ~2.5 rows per (user, day) key,
-    Ray's per-key Python accumulators were the measured bottleneck
-    (10.2 s → the C++ plan) — high-cardinality GROUP BY belongs on the
-    bucket plan."""
-    from ..stages.agg import bucket_groupby_sum
+    """Per-(user, day) TOTAL event activity ⋈ per-(user, day) HIGH-VALUE
+    activity (``value >= 150``) — "how active was the user on the days
+    they produced a high-value event".  The self-join of the two
+    aggregations is really one aggregation with a conditional sum —
+    ``n_high = SUM(value_cents >= threshold)`` — and the inner-join
+    semantics are the post-filter ``n_high > 0``: one coarse-bucket
+    exchange (``stages.agg.bucket_groupby_agg``) instead of two
+    aggregations and a composite-key join (``USER_DAY_ACTIVITY_SQL``
+    spells out the join form).  This is the plan an optimizer should pick
+    whenever both join inputs are aggregations of the same relation on
+    the same keys."""
+    from ..stages.agg import bucket_groupby_agg
 
     events = read_table(sf_dir, "events", columns=["user_id", "ts", "value"])
+    hi_cents = int(round(USER_DAY_VALUE_THRESHOLD * 100))
 
     def eprep(batch: pa.Table) -> pa.Table:
+        cents = _cents(batch["value"])
         return pa.table(
             {
                 "user_id": batch["user_id"],
                 "day": pc.strftime(batch["ts"], format="%Y-%m-%d"),
-                "value_cents": _cents(batch["value"]),
+                "value_cents": cents,
+                "is_high": pc.cast(
+                    pc.greater_equal(cents, hi_cents), pa.int64()
+                ),
             }
         )
 
-    prepped = events.map_batches(eprep, batch_format="pyarrow")
-    e = bucket_groupby_sum(
-        prepped, ["user_id", "day"], ["value_cents"], count_col="n_events"
+    out = bucket_groupby_agg(
+        events.map_batches(eprep, batch_format="pyarrow"),
+        ["user_id", "day"],
+        [
+            (None, "count", "n_events"),
+            ("value_cents", "sum", "value_cents"),
+            ("is_high", "sum", "n_high"),
+        ],
     )
-
-    hi_cents = int(round(USER_DAY_VALUE_THRESHOLD * 100))
-
-    def hi_prep(batch: pa.Table) -> pa.Table:
-        batch = batch.filter(
-            pc.greater_equal(batch["value_cents"], hi_cents)
-        )
-        return pa.table(
-            {"h_user_id": batch["user_id"], "h_day": batch["day"]}
-        )
-
-    h = bucket_groupby_sum(
-        prepped.map_batches(hi_prep, batch_format="pyarrow"),
-        ["h_user_id", "h_day"],
-        [],
-        count_col="n_high",
-    )
-    return equi_join_multi(
-        e,
-        h,
-        on=["user_id", "day"],
-        right_on=["h_user_id", "h_day"],
-        left_cols=["n_events", "value_cents"],
-        right_cols=["n_high"],
-    )
+    return out.filter(expr="n_high > 0")
 
 
 USER_DAY_ACTIVITY_SQL = """
@@ -1570,45 +1554,6 @@ FROM documents d JOIN th USING (lang)
 WHERE d.n_chars >= th.t
 ORDER BY 1
 """
-
-
-def user_day_activity_fused(sf_dir: str) -> ray.data.Dataset:
-    """The 1-exchange plan for ``user_day_activity``: the self-join of
-    "per-(user, day) totals" with "per-(user, day) high-value counts" is
-    really one aggregation with a conditional sum — ``n_high =
-    SUM(value_cents >= threshold)`` — and the inner-join semantics are the
-    post-filter ``n_high > 0``.  Identical rows to the 3-exchange
-    join plan (shares its SQL oracle); this is the plan an optimizer
-    should pick whenever both join inputs are aggregations of the same
-    relation on the same keys."""
-    from ..stages.agg import bucket_groupby_agg
-
-    events = read_table(sf_dir, "events", columns=["user_id", "ts", "value"])
-    hi_cents = int(round(USER_DAY_VALUE_THRESHOLD * 100))
-
-    def eprep(batch: pa.Table) -> pa.Table:
-        cents = _cents(batch["value"])
-        return pa.table(
-            {
-                "user_id": batch["user_id"],
-                "day": pc.strftime(batch["ts"], format="%Y-%m-%d"),
-                "value_cents": cents,
-                "is_high": pc.cast(
-                    pc.greater_equal(cents, hi_cents), pa.int64()
-                ),
-            }
-        )
-
-    out = bucket_groupby_agg(
-        events.map_batches(eprep, batch_format="pyarrow"),
-        ["user_id", "day"],
-        [
-            (None, "count", "n_events"),
-            ("value_cents", "sum", "value_cents"),
-            ("is_high", "sum", "n_high"),
-        ],
-    )
-    return out.filter(expr="n_high > 0")
 
 
 def user_event_stats(sf_dir: str) -> ray.data.Dataset:

@@ -4270,7 +4270,6 @@ def corpus_quality_filter(
     min_stop_ppm: int = 200_000,
     min_lm_ppm: int = 34_000,
     top_k: int = 8,
-    plan: str = "fused",
 ) -> ray.data.Dataset:
     """THE standard curation pipeline: a document survives iff it passes
     the Gopher line/word rules (:func:`gopher_quality`), carries enough
@@ -4281,32 +4280,20 @@ def corpus_quality_filter(
     One row per document with the three signals and the composite
     ``quality_pass``.
 
-    ``plan="fused"`` (default, the at-scale shape): TWO corpus scans
-    total instead of the five the naive composition pays.  Scan 1
-    tokenizes each block ONCE and emits kind-tagged partials for both
-    corpus models — token document frequency (``kind='t'``) and bigram
-    counts (``kind='b'``) — through a single coarse-bucket aggregate;
-    the reduced table is vocabulary-bounded, so materializing it and
-    deriving the broadcast stopword set (exact top-k prune) and the
-    bigram-LM probe pair (:func:`analytics.lm_conditional_ppm`) costs
-    nothing at any corpus size.  Scan 2 is one zero-shuffle map that
-    recomputes the Gopher flags and probes both broadcast models per
-    block — no doc-level joins at all.  Signals are bit-identical to
-    the standalone pipelines (tested), so the SQL oracle still composes
-    the three signal oracles verbatim.
-
-    ``plan="composed"`` keeps the original three-pipeline composition
-    (each signal its own scans, two planner joins over doc-count-bounded
-    tables) for plan-equality verification.
+    TWO corpus scans total instead of the five the naive composition
+    pays.  Scan 1 tokenizes each block ONCE and emits kind-tagged
+    partials for both corpus models — token document frequency
+    (``kind='t'``) and bigram counts (``kind='b'``) — through a single
+    coarse-bucket aggregate; the reduced table is vocabulary-bounded, so
+    materializing it and deriving the broadcast stopword set (exact
+    top-k prune) and the bigram-LM probe pair
+    (:func:`analytics.lm_conditional_ppm`) costs nothing at any corpus
+    size.  Scan 2 is one zero-shuffle map that recomputes the Gopher
+    flags and probes both broadcast models per block — no doc-level
+    joins at all.  Signals are bit-identical to the standalone pipelines
+    (tested), so the SQL oracle still composes the three signal oracles
+    verbatim.
     """
-    if plan == "composed":
-        return _corpus_quality_filter_composed(
-            sf_dir, min_stop_ppm=min_stop_ppm, min_lm_ppm=min_lm_ppm,
-            top_k=top_k,
-        )
-    if plan != "fused":
-        raise ValueError(f"unknown plan {plan!r} (fused|composed)")
-
     from ..cluster import collect_table
     from ..stages.agg import bucket_groupby_sum
     from .analytics import lm_conditional_ppm
@@ -4437,48 +4424,6 @@ def corpus_quality_filter(
         )
 
     return docs.map_batches(score, batch_format="pyarrow").sort("doc_id")
-
-
-def _corpus_quality_filter_composed(
-    sf_dir: str,
-    *,
-    min_stop_ppm: int,
-    min_lm_ppm: int,
-    top_k: int,
-) -> ray.data.Dataset:
-    """Original composition: each signal pipeline its own scans, two
-    planner joins exchanging doc-count-bounded tables.  Kept as the
-    plan-equality witness for the fused plan."""
-    from ..cluster import equi_join
-    from .analytics import doc_lm_score
-
-    rarity = doc_rarity(sf_dir, top_k=top_k).select_columns(
-        ["doc_id", "stop_ppm"]
-    )
-    lm = doc_lm_score(sf_dir).select_columns(["doc_id", "mean_cond_ppm"])
-    gop = gopher_quality(sf_dir).select_columns(["doc_id", "gopher_pass"])
-
-    j1 = equi_join(rarity, lm, on="doc_id")
-    j2 = equi_join(j1, gop, on="doc_id")
-
-    def flags(batch: pa.Table) -> pa.Table:
-        stop = batch["stop_ppm"].to_numpy(zero_copy_only=False)
-        lmv = batch["mean_cond_ppm"].to_numpy(zero_copy_only=False)
-        gp = batch["gopher_pass"].to_numpy(zero_copy_only=False)
-        ok = (
-            (stop >= min_stop_ppm) & (lmv >= min_lm_ppm) & (gp == 1)
-        ).astype(np.int64)
-        return pa.table(
-            {
-                "doc_id": batch["doc_id"],
-                "stop_ppm": batch["stop_ppm"],
-                "mean_cond_ppm": batch["mean_cond_ppm"],
-                "gopher_pass": batch["gopher_pass"].cast(pa.int64()),
-                "quality_pass": pa.array(ok, pa.int64()),
-            }
-        )
-
-    return j2.map_batches(flags, batch_format="pyarrow").sort("doc_id")
 
 
 # ---------------------------------------------------------------------------

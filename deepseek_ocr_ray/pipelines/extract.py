@@ -6,12 +6,13 @@ Ray-Data restatement of the reference lifecycle (SURVEY.md §3):
       → map_batches(explode_docs)                      # fan-out, vectorized
       → map_batches(OcrStage, concurrency=pool)        # stateful actor pool
       → map_batches(parse_units)                       # span parse + cleaners + HTML strip
-      → map_batches(add_bucket)                        # stable hash bucket
-      → groupby(assembly_bucket).map_groups(assemble)  # the one shuffle
+      → map_batches(assemble_bucket)                   # per block, no shuffle
       → write_parquet(partitioned)  /  caller consumes
 
-Everything upstream of the groupby is embarrassingly parallel and streams
-with backpressure; nothing materializes the corpus.
+With ``exchange="salted"`` the last map becomes two keyed exchanges (salted
+assembly, then a small merge of per-salt partials).  Every stage before
+assembly is embarrassingly parallel and streams with backpressure; nothing
+materializes the corpus.
 """
 
 from __future__ import annotations
@@ -21,7 +22,13 @@ import functools
 import ray.data
 
 from ..config import PipelineConfig, estimate_max_concurrency
-from ..stages.assemble import add_bucket, assemble_bucket
+from ..stages.assemble import (
+    add_doc_bucket,
+    add_salted_bucket,
+    assemble_bucket,
+    assemble_salted_partials,
+    merge_salted_partials,
+)
 from ..stages.model_stub import OcrStage
 from ..stages.transforms import explode_docs, parse_units
 
@@ -85,14 +92,12 @@ def extract_dataset(
       with order-preserving output, so a document's units never straddle a
       block boundary.  The pipeline is then pure map stages — zero shuffle,
       perfect horizontal scaling; skew is handled by input block sizing.
-    - ``"groupby"``: the general path for unit-level sources (rows already
+    - ``"salted"``: the general path for unit-level sources (rows already
       exploded, e.g. resuming from a units table) where a document's units
-      MAY span blocks: stable-bucket the doc_id and run the one wide step
-      ``groupby(bucket).map_groups(assemble)``.
-    - ``"salted"``: the media-heavy-skew variant of ``"groupby"``: bucket by
-      ``(doc_id, unit_id // salt_span)`` so an oversized document's units
-      split across groups, then merge the per-salt partials in a second,
-      tiny keyed exchange.  All three paths produce identical output.
+      MAY span blocks, and the media-heavy-skew path: bucket by ``(doc_id,
+      unit_id // salt_span)`` so an oversized document's units split
+      across groups, then merge the per-salt partials in a second, tiny
+      keyed exchange.  Both paths produce identical output.
     """
     cfg = config or PipelineConfig()
     # CPU stages run per-block (batch_size=None): a fixed batch_size here
@@ -131,57 +136,35 @@ def extract_dataset(
             batch_format="pyarrow",
             batch_size=None,
         )
-    if exchange == "salted":
-        # media-heavy-skew path: bucket by (doc_id, salt=unit_id//span) so no
-        # assembly group exceeds ~salt_span units per doc; merge the per-salt
-        # partials in a second, MUCH smaller keyed exchange (one row per
-        # (doc, salt)).  Output is byte-identical to the other paths.
-        from ..stages.assemble import (
-            add_doc_bucket,
-            add_salted_bucket,
-            assemble_salted_partials,
-            merge_salted_partials,
-        )
-
-        n_buckets = _resolve_assembly_buckets(ds, assembly_buckets)
-        salted = parsed.map_batches(
-            functools.partial(
-                add_salted_bucket,
-                n_buckets=n_buckets,
-                salt_span=cfg.salt_span,
-            ),
-            batch_format="pyarrow",
-            batch_size=None,
-        )
-        partials = salted.groupby("assembly_bucket").map_groups(
-            functools.partial(assemble_salted_partials, config=cfg),
-            batch_format="pyarrow",
-        )
-        bucketed2 = partials.map_batches(
-            functools.partial(add_doc_bucket, n_buckets=n_buckets),
-            batch_format="pyarrow",
-            batch_size=None,
-        )
-        return bucketed2.groupby("merge_bucket").map_groups(
-            functools.partial(merge_salted_partials, config=cfg),
-            batch_format="pyarrow",
-        )
-    if exchange != "groupby":
+    if exchange != "salted":
         raise ValueError(
-            f"exchange must be 'none', 'groupby' or 'salted', got {exchange!r}"
+            f"exchange must be 'none' or 'salted', got {exchange!r}"
         )
-    # general path: a global sort-by-bucket exchange (the one wide step) —
-    # measured 31s of a 50s 24k-doc run, which is why doc-per-row sources
-    # should use exchange="none"
-    bucketed = parsed.map_batches(
+    # bucket by (doc_id, salt=unit_id//span) so no assembly group exceeds
+    # ~salt_span units per doc; merge the per-salt partials in a second,
+    # MUCH smaller keyed exchange (one row per (doc, salt)).  Output is
+    # byte-identical to the "none" path.
+    n_buckets = _resolve_assembly_buckets(ds, assembly_buckets)
+    salted = parsed.map_batches(
         functools.partial(
-            add_bucket, n_buckets=_resolve_assembly_buckets(ds, assembly_buckets)
+            add_salted_bucket,
+            n_buckets=n_buckets,
+            salt_span=cfg.salt_span,
         ),
         batch_format="pyarrow",
         batch_size=None,
     )
-    return bucketed.groupby("assembly_bucket").map_groups(
-        functools.partial(assemble_bucket, config=cfg),
+    partials = salted.groupby("assembly_bucket").map_groups(
+        functools.partial(assemble_salted_partials, config=cfg),
+        batch_format="pyarrow",
+    )
+    bucketed2 = partials.map_batches(
+        functools.partial(add_doc_bucket, n_buckets=n_buckets),
+        batch_format="pyarrow",
+        batch_size=None,
+    )
+    return bucketed2.groupby("merge_bucket").map_groups(
+        functools.partial(merge_salted_partials, config=cfg),
         batch_format="pyarrow",
     )
 

@@ -4,14 +4,18 @@ The reference reassembles pages by positional zip in submission order
 (DSV/run_dpsk_ocr_pdf.py:292); a distributed pipeline cannot rely on order,
 so units carry ``(doc_id, unit_id)`` and are reassembled by key.
 
-Scale design: instead of ``groupby("doc_id")`` (one Python call per document,
-10^12 tiny groups), units are grouped by a **stable hash bucket** of doc_id
-(``assembly_bucket``), so the shuffle has a bounded number of groups and each
-group assembles many documents in one vectorized pass.  A document's units
-always land in the same bucket, so no second-level merge is needed; the
-bucket count is sized from input volume (``assembly_buckets_for_bytes``) so
-per-group bytes stay bounded as the corpus grows — a fixed count would be a
-per-task memory cliff and a parallelism cap at 100× scale.
+Two plans, chosen by ``pipelines.extract.extract_dataset``'s ``exchange``:
+
+- ``exchange="none"``: doc-per-row inputs never split a document across
+  blocks, so :func:`assemble_bucket` runs per block — no shuffle at all.
+- ``exchange="salted"``: for unit-level inputs whose documents MAY span
+  blocks, units are grouped by a stable hash of ``(doc_id, unit_id //
+  salt_span)`` (``assembly_bucket``), so the shuffle has a bounded number
+  of groups, an oversized document splits across groups, and each group
+  assembles many documents in one vectorized pass; a second, small keyed
+  exchange merges the per-salt partials.  The bucket count is sized from
+  input volume (``assembly_buckets_for_bytes``) so per-group bytes stay
+  bounded as the corpus grows.
 
 The group walks are fully vectorized: doc boundaries come from adjacent
 compares on the sorted key, per-doc reductions are ``np.*.reduceat`` over
@@ -19,9 +23,8 @@ the boundary index, span lists are built by flattening the unit-level Arrow
 list columns once and re-slicing them with per-doc offsets, and markdown is
 ``pc.binary_join`` over per-unit pieces — no ``to_pylist`` of payload
 columns, no per-row Python in the hot path.  The only Python loop left is
-the ``partition_id`` column is a vectorized engine hash by default
-(``partition_id_mode="fast"``); ``"md5"`` keeps the pinned md5 rule
-for reference/fixture parity (the one per-row Python loop, opt-in).
+the ``partition_id`` column: the pinned md5 rule of
+:func:`stable_bucket`, one hash per output document.
 """
 
 from __future__ import annotations
@@ -41,10 +44,9 @@ from .transforms import MEDIA_KINDS, SENTINEL_KIND
 def stable_bucket(doc_ids: list[str], n_buckets: int) -> list[int]:
     """md5-based bucket — stable across processes/parallelism (Python's
     ``hash`` is salted per process and must never partition data).  The
-    PARITY mode for the ``partition_id`` output column
-    (``partition_id_mode="md5"`` — what the fixture oracle pins); the
-    production default and the internal exchange buckets both use the
-    vectorized ``string_hash64``."""
+    rule for the ``partition_id`` output column, pinned by the reference
+    oracle; the internal exchange buckets use the vectorized
+    ``string_hash64``."""
     return [
         int.from_bytes(hashlib.md5(d.encode()).digest()[:4], "little") % n_buckets
         for d in doc_ids
@@ -54,18 +56,6 @@ def stable_bucket(doc_ids: list[str], n_buckets: int) -> list[int]:
 def _col(t: pa.Table, name: str) -> pa.Array:
     c = t[name]
     return c.combine_chunks() if isinstance(c, pa.ChunkedArray) else c
-
-
-def add_bucket(batch: pa.Table, *, n_buckets: int) -> pa.Table:
-    """Internal exchange key: vectorized stable hash of doc_id.  Bucket
-    identity never reaches the output (groups assemble to the same rows
-    regardless of which bucket they land in), so any process-stable hash
-    works — this one is C-speed over the raw Arrow buffers."""
-    h = string_hash64(_col(batch, "doc_id"))
-    return batch.append_column(
-        "assembly_bucket",
-        pa.array((h % np.uint64(n_buckets)).astype(np.int32), pa.int32()),
-    )
 
 
 def _doc_bounds(key: pa.Array) -> tuple[np.ndarray, np.ndarray]:
@@ -164,7 +154,6 @@ def _final_table(
     errors: pa.Array,
     *,
     n_parts: int,
-    mode: str = "fast",
 ) -> pa.Table:
     """Assemble the OUT_SCHEMA table from per-doc columns + flattened spans."""
     total = int(spans_per_doc.sum())
@@ -182,15 +171,7 @@ def _final_table(
     spans_col = pa.ListArray.from_arrays(
         pa.array(cum.astype(np.int32), pa.int32()), span_struct
     )
-    if mode == "fast":
-        # production path: vectorized engine hash, zero per-row Python
-        pids = (string_hash64(docs) % np.uint64(n_parts)).astype(np.int32)
-    elif mode == "md5":
-        # parity mode: the pinned md5 rule the fixture oracle replicates
-        # (O(output docs) Python md5 loop — SQL/reference parity only)
-        pids = stable_bucket(docs.to_pylist(), n_parts)
-    else:
-        raise ValueError(f"unknown partition_id_mode {mode!r}")
+    pids = stable_bucket(docs.to_pylist(), n_parts)
     return pa.table(
         {
             "doc_id": docs.cast(pa.string()),
@@ -241,7 +222,7 @@ def assemble_bucket(group: pa.Table, *, config: PipelineConfig) -> pa.Table:
                 f"assembly saw {actual[b]}/{expected[b]} units of doc "
                 f"{doc[doc_starts[b]].as_py()!r}: "
                 "a document split across blocks; rerun with "
-                "exchange='salted' (or 'groupby'), or raise "
+                "exchange='salted', or raise "
                 "DataContext.target_max_block_size / shrink input blocks"
             )
 
@@ -276,7 +257,6 @@ def assemble_bucket(group: pa.Table, *, config: PipelineConfig) -> pa.Table:
         trunc,
         errors,
         n_parts=config.num_partitions,
-        mode=config.partition_id_mode,
     )
 
 
@@ -469,5 +449,4 @@ def merge_salted_partials(group: pa.Table, *, config: PipelineConfig) -> pa.Tabl
         trunc,
         errors,
         n_parts=config.num_partitions,
-        mode=config.partition_id_mode,
     )

@@ -421,49 +421,13 @@ def _lsh_dedup(
     )
 
 
-def _walk_buckets(group: pa.Table, id_col: str, verify_pair) -> pa.Table:
-    """Sort a coarse group by (band, band_key, id); walk bucket boundaries;
-    within each true bucket the min-id doc keeps, every other doc is dropped
-    iff ``verify_pair(min_payload, payload)`` clears the threshold."""
-    g = group.sort_by(
-        [("band", "ascending"), ("band_key", "ascending"), (id_col, "ascending")]
-    )
-    bands = g["band"].to_numpy(zero_copy_only=False)
-    keys = g["band_key"].to_numpy(zero_copy_only=False)
-    ids = g[id_col].to_pylist()
-    payloads = g["payload"].to_pylist()
-    n = len(ids)
-    out_ids: list = []
-    out_drop: list[int] = []
-    i = 0
-    while i < n:
-        j = i
-        while j < n and bands[j] == bands[i] and keys[j] == keys[i]:
-            j += 1
-        # bucket [i, j): ids sorted ascending → ids[i] is the keeper
-        out_ids.append(ids[i])
-        out_drop.append(0)
-        base = payloads[i]
-        for t in range(i + 1, j):
-            out_ids.append(ids[t])
-            out_drop.append(1 if verify_pair(base, payloads[t]) else 0)
-        i = j
-    return pa.table(
-        {
-            id_col: pa.array(out_ids),
-            _DEC_SCHEMA_DROPPED: pa.array(out_drop, pa.int64()),
-        }
-    )
-
-
 def _walk_buckets_vec(group: pa.Table, id_col: str, batch_verify) -> pa.Table:
-    """Vectorized ``_walk_buckets`` for fixed-width BINARY payloads: same
-    keep-min semantics (each non-keeper verifies against its bucket's
-    min-id doc), but the verify runs ONCE over a gathered byte matrix —
+    """Bucket walk for fixed-width BINARY payloads: sort a coarse group by
+    (band, band_key, id); within each true bucket the min-id doc keeps and
+    every other doc is dropped iff it verifies against that keeper.  The
+    verify runs ONCE over a gathered byte matrix —
     ``batch_verify(payload_sorted, keeper_idx, cand_idx) -> bool[n]`` over
-    the sorted payload column — instead of one Python call per candidate.
-    Exact integer comparisons (signature equality, Hamming) are
-    bit-identical to the per-pair walk by construction."""
+    the sorted payload column — instead of one Python call per candidate."""
     g = group.sort_by(
         [("band", "ascending"), ("band_key", "ascending"), (id_col, "ascending")]
     )
@@ -495,7 +459,7 @@ def _walk_buckets_vec(group: pa.Table, id_col: str, batch_verify) -> pa.Table:
 
 
 def _bucket_pairs(group: pa.Table, id_col: str) -> pa.Table:
-    """Same bucket walk as ``_walk_buckets`` but emits UNVERIFIED candidate
+    """Same bucket walk as ``_walk_buckets_vec`` but emits UNVERIFIED candidate
     pairs ``(a_id=keeper, b_id=candidate)`` instead of decisions — the
     verify-by-join plans fetch payloads for exactly these pairs later."""
     g = group.sort_by(
@@ -544,7 +508,6 @@ class MinHashBandStage:
         shingle_k: int = 5,
         seed: int = 42,
         n_buckets: int = 64,
-        carry_text: bool = False,
         carry_payload: bool = True,
         carry_cols: list[str] | None = None,
     ):
@@ -555,7 +518,6 @@ class MinHashBandStage:
         self.bands = bands
         self.rows_per_band = num_perm // bands
         self.n_buckets = n_buckets
-        self.carry_text = carry_text
         # the verify-by-join plan needs only bucket keys, no payload —
         # skip the per-band signature bytes to shrink shuffle #1
         self.carry_payload = carry_payload
@@ -570,12 +532,7 @@ class MinHashBandStage:
         # per-doc path; tested in test_dedup)
         sigs = self.hasher.signatures_batch(batch[self.text_col])
         keys = band_keys_matrix(sigs, self.bands)
-        if self.carry_text:
-            payload = batch[self.text_col]
-            if isinstance(payload, pa.ChunkedArray):
-                payload = payload.combine_chunks()
-            payload = payload.cast(pa.large_string())
-        elif self.carry_payload:
+        if self.carry_payload:
             # payload rides as raw signature bytes (fixed width), not a
             # list<uint32> — Arrow-encoding 10^5 Python int lists per block
             # dominated runtime before this change
@@ -773,82 +730,6 @@ NGRAM_LOCAL_MAX_TEXT_BYTES = 256 * 1024 * 1024
 _MISSING = object()  # gram-cache sentinel (None is a valid cached value)
 
 
-def ngram_jaccard_dedup(
-    ds: ray.data.Dataset,
-    *,
-    text_col: str = "text",
-    id_col: str = "doc_id",
-    ngram: int = 3,
-    threshold: float = 0.8,
-    seed: int = 42,
-    n_buckets: int = 64,
-    concurrency=(2, 8),
-    verify: str = "join",
-    **minhash_kwargs,
-) -> ray.data.Dataset:
-    """MinHash-LSH candidates + EXACT word n-gram Jaccard verification.
-
-    Two physical plans, identical results (tested equal):
-
-    - ``verify="join"`` (default) — bucket rows carry NO payload; buckets
-      emit distinct candidate pairs, texts are joined back by id
-      (``cluster.equi_join``), pairs verify vectorized, and kept ids come
-      from a left-anti join.  Text moves once per candidate pair instead of once
-      per band row — the 10^12-row plan.  Within it, pairs verify on
-      the DRIVER when the materialized candidate-pair count is at most
-      ``NGRAM_LOCAL_MAX_PAIRS`` and the needed texts stream in under
-      ``NGRAM_LOCAL_MAX_TEXT_BYTES`` (both text joins and their exchanges
-      disappear), else through the distributed text joins.
-    - ``verify="carry"`` — texts ride along in the bucket rows
-      (``carry_text=True``).  One fewer exchange, but every document's full
-      text is replicated ×bands through shuffle #1 (32× byte amplification)
-      — explicit opt-in for tiny corpora / SQL-parity experiments only.
-    """
-    if verify == "join":
-        # the join plan runs the signature pool alongside two text joins —
-        # drop the signature pool's minimum to 1 so small clusters (4 CPUs)
-        # keep a free slot for task stages (a min-2 pool plus two joins
-        # deadlocked the streaming executor there)
-        _, hi = concurrency if isinstance(concurrency, tuple) else (1, concurrency)
-        return _ngram_dedup_verify_join(
-            ds,
-            text_col=text_col,
-            id_col=id_col,
-            ngram=ngram,
-            threshold=threshold,
-            seed=seed,
-            n_buckets=n_buckets,
-            concurrency=(1, hi),
-            **minhash_kwargs,
-        )
-
-    def verify_fn(group: pa.Table) -> pa.Table:
-        return _walk_buckets(
-            group,
-            id_col,
-            lambda a, b: exact_word_ngram_jaccard(a, b, ngram) >= threshold,
-        )
-
-    return _lsh_dedup(
-        ds,
-        MinHashBandStage,
-        verify_fn,
-        id_col=id_col,
-        n_buckets=n_buckets,
-        concurrency=concurrency,
-        stage_kwargs=dict(
-            text_col=text_col,
-            id_col=id_col,
-            seed=seed,
-            n_buckets=n_buckets,
-            carry_text=True,
-            **minhash_kwargs,
-        ),
-    )
-
-
-
-
 def _ngram_local_verify(
     ds: ray.data.Dataset,
     texts: ray.data.Dataset,
@@ -976,19 +857,20 @@ def _ngram_local_verify(
     return kept_all.map_batches(anti, batch_format="pyarrow")
 
 
-def _ngram_dedup_verify_join(
+def ngram_jaccard_dedup(
     ds: ray.data.Dataset,
     *,
-    text_col: str,
-    id_col: str,
-    ngram: int,
-    threshold: float,
-    seed: int,
-    n_buckets: int,
+    text_col: str = "text",
+    id_col: str = "doc_id",
+    ngram: int = 3,
+    threshold: float = 0.8,
+    seed: int = 42,
+    n_buckets: int = 64,
     concurrency=(2, 8),
     **minhash_kwargs,
 ) -> ray.data.Dataset:
-    """Scale-safe ngram dedup: candidate pairs → text join → verify → anti-join.
+    """MinHash-LSH candidates + EXACT word n-gram Jaccard verification:
+    candidate pairs → text join → verify → anti-join.
 
     Dataflow (integer ids assumed, as in the documents table):
 
@@ -1001,7 +883,11 @@ def _ngram_dedup_verify_join(
         kept = ids anti-join dropped (equi_join)           # shuffle 5
 
     Every exchange moves ids or candidate pairs — document text moves
-    exactly once per (pair, side) instead of ×bands per document.
+    exactly once per (pair, side) instead of ×bands per document.  Pairs
+    verify on the DRIVER instead when the materialized candidate-pair
+    count is at most ``NGRAM_LOCAL_MAX_PAIRS`` and the needed texts stream
+    in under ``NGRAM_LOCAL_MAX_TEXT_BYTES`` (both text joins and their
+    exchanges disappear).
 
     All three joins ride ``cluster.equi_join``: each materializes its right
     side once and either broadcasts it or exchanges both sides by key, so
@@ -1011,6 +897,10 @@ def _ngram_dedup_verify_join(
     ``left_types``), plus fail-closed guards on malformed non-empty
     blocks.
     """
+    # the signature pool runs alongside two text joins — drop its minimum
+    # to 1 so small clusters (4 CPUs) keep a free slot for task stages (a
+    # min-2 pool plus two joins deadlocked the streaming executor there)
+    _, hi = concurrency if isinstance(concurrency, tuple) else (1, concurrency)
     band_rows = ds.map_batches(
         MinHashBandStage,
         fn_constructor_kwargs=dict(
@@ -1022,7 +912,7 @@ def _ngram_dedup_verify_join(
             **minhash_kwargs,
         ),
         batch_format="pyarrow",
-        concurrency=concurrency,
+        concurrency=(1, hi),
     )
     pairs = band_rows.groupby("lsh_group").map_groups(
         lambda g: _bucket_pairs(g, id_col), batch_format="pyarrow"
@@ -1698,7 +1588,7 @@ def hash64_hamming_dedup(
     whose smallest id is a band-key-colliding foreign row can therefore
     mask a true near-dup pair — rare at 16-bit band keys but nonzero at
     extreme scale; exhaustive recall needs the pair-join plan
-    (``ngram_jaccard_dedup(verify="join")``-style), not keeper walks."""
+    (:func:`ngram_jaccard_dedup`-style), not keeper walks."""
 
     def verify(group: pa.Table) -> pa.Table:
         def batch_hamming(payload, ki, ci) -> np.ndarray:

@@ -556,11 +556,15 @@ def _logreg_horizon_check(q: np.ndarray) -> None:
 
 
 def _logreg_grad_kernel(
-    q: np.ndarray, y: np.ndarray, w: np.ndarray, b: float, scale: int
+    q: np.ndarray, y: np.ndarray, w: np.ndarray | None, b: float, scale: int
 ) -> tuple[int, int, np.ndarray]:
     """One block's exact-int gradient partial (shared by the streaming
     map_batches pass and the cached block-ref task loop — identical math,
-    so both paths produce bit-identical coefficients)."""
+    so both paths produce bit-identical coefficients).  ``w=None`` means
+    zero weights of the block's own feature width (the first iteration,
+    before the driver has seen any gradient)."""
+    if w is None:
+        w = np.zeros(q.shape[1], np.float64)
     z = (q / float(scale)) @ w + b
     p = 1.0 / (1.0 + np.exp(-z))
     r = np.floor((p - y) * 1e6 + 0.5).astype(np.int64)
@@ -569,7 +573,7 @@ def _logreg_grad_kernel(
 
 @ray.remote
 def _logreg_grad_block(
-    tab: pa.Table, w: np.ndarray, b: float, scale: int
+    tab: pa.Table, w: np.ndarray | None, b: float, scale: int
 ) -> tuple[int, int, list[int] | None]:
     """Gradient partial over ONE pre-quantized cached block (columns
     ``y`` int64, ``q`` list<int64>) — a plain Ray task so the iteration
@@ -582,7 +586,7 @@ def _logreg_grad_block(
     flat = tab["q"].combine_chunks().flatten().to_numpy(
         zero_copy_only=False
     )
-    q = flat.reshape(nb, len(w))
+    q = flat.reshape(nb, len(flat) // nb)
     n, g0, g = _logreg_grad_kernel(q, y, w, b, scale)
     return n, g0, g.tolist()
 
@@ -637,17 +641,20 @@ def logreg_fit(
     def _update(w, b, n_total, g, g0):
         # one fixed-order float expression per iteration (both paths)
         denom = 1e6 * float(scale) * float(n_total)
+        if w is None:
+            w = np.zeros(len(g), np.float64)
         return (
             w - lr * (g.astype(np.float64) / denom),
             b - lr * (float(g0) / 1e6 / float(n_total)),
         )
 
-    # probe one row for the feature width (cheap limit-1 scan)
-    first = ds.limit(1).take_all()
-    d = len(first[0][vec_col]) if first else 0
-    w = np.zeros(d, np.float64)
+    # the feature width comes from the first iteration's gradient: until
+    # then ``w`` is None and each block uses zero weights of its own width
+    # (no separate probe execution of the input)
+    w = None
     b = 0.0
     n_total = 0
+    no_rows = (np.zeros(0, np.float64), 0.0, 0)
 
     if cached:
         def prepare(batch: pa.Table) -> pa.Table:
@@ -682,7 +689,7 @@ def logreg_fit(
             parts = [p for p in parts if p[0]]
             n_total = sum(p[0] for p in parts)
             if n_total == 0:
-                return w, b, 0
+                return no_rows
             # exact Python-int merge — layout-order-proof
             g = np.array([p[2] for p in parts], dtype=object).sum(axis=0)
             g0 = sum(p[1] for p in parts)
@@ -723,10 +730,10 @@ def logreg_fit(
             ds.map_batches(grad_partial, batch_format="pyarrow")
         )
         if parts is None or parts.num_rows == 0:
-            return w, b, 0
+            return no_rows
         n_total = int(pc.sum(parts["n"]).as_py() or 0)
         if n_total == 0:
-            return w, b, 0
+            return no_rows
         # keep empty lists: a zero-width feature matrix has g == []
         g_rows = [r for r in parts["g"].to_pylist() if r is not None]
         # exact Python-int merge — layout-order-proof

@@ -731,23 +731,10 @@ def test_doc_rarity_layout_invariant(ray_session, tmp_path, blocks):
     pd_testing.assert_frame_equal(out, base)
 
 
-def test_corpus_quality_filter_plan_equality(ray_session):
-    """The fused two-scan plan must be byte-identical to the original
-    three-pipeline composition (same signals, same flags, same order)."""
-    import pandas as pd
-
-    d = "/root/testdata/sf0.001"
-    fused = curation.corpus_quality_filter(d).to_pandas()
-    comp = curation.corpus_quality_filter(d, plan="composed").to_pandas()
-    pd.testing.assert_frame_equal(
-        fused.reset_index(drop=True), comp.reset_index(drop=True)
-    )
-
-
 def test_corpus_quality_filter_consistency(ray_session):
     """The composite must equal the AND of the three signals computed
-    independently — catches join/flag drift between the composed pipeline
-    and its parts."""
+    independently — catches flag drift between the fused pipeline and its
+    parts."""
     from deepseek_ocr_ray.pipelines import analytics
 
     d = "/root/testdata/sf0.001"

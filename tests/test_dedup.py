@@ -182,18 +182,33 @@ def _force_pair_plan(monkeypatch, plan):
     )
 
 
-def test_ngram_dedup_join_path_equals_carry(ray_session, monkeypatch):
-    """verify="join" (the 10^12-row plan: pairs → text join → anti-join)
-    must keep exactly the same ids as the carry-text plan — under BOTH
-    pair plans (driver-local verify and the distributed text joins), and
-    under both join-planner plans for the distributed one."""
+def _brute_force_ngram_kept(tbl: pa.Table, n: int, threshold: float) -> list:
+    """All-pairs exact word n-gram Jaccard: an id is dropped iff some
+    smaller id's text reaches ``threshold`` against it."""
+    ids = tbl["doc_id"].to_pylist()
+    grams = []
+    for t in tbl["text"].to_pylist():
+        w = t.split()
+        grams.append({tuple(w[i : i + n]) for i in range(len(w) - n + 1)})
+    kept = []
+    for j, gj in enumerate(grams):
+        if not any(
+            len(gi & gj) / len(gi | gj) >= threshold for gi in grams[:j]
+        ):
+            kept.append(ids[j])
+    return kept
+
+
+def test_ngram_dedup_every_pair_plan_keeps_brute_force_set(
+    ray_session, monkeypatch
+):
+    """Both pair plans (driver-local verify and the distributed text
+    joins, the latter under both join-planner plans) keep exactly the ids
+    an all-pairs exact 3-gram Jaccard walk keeps."""
     from deepseek_ocr_ray import cluster
 
-    carry = sorted(
-        dedup.ngram_jaccard_dedup(
-            _ds(_corpus()), ngram=3, threshold=0.6
-        ).to_pandas()["doc_id"]
-    )
+    want = _brute_force_ngram_kept(_corpus(), 3, 0.6)
+    assert want == [0, 3, 4, 5, 6, 7, 8, 9]
     default_cap = cluster.BROADCAST_MAX_BYTES
     for plan, cap in (
         ("local", default_cap),
@@ -202,13 +217,12 @@ def test_ngram_dedup_join_path_equals_carry(ray_session, monkeypatch):
     ):
         _force_pair_plan(monkeypatch, plan)
         monkeypatch.setattr(cluster, "BROADCAST_MAX_BYTES", cap)
-        join = sorted(
+        got = sorted(
             dedup.ngram_jaccard_dedup(
-                _ds(_corpus()), ngram=3, threshold=0.6, verify="join",
+                _ds(_corpus()), ngram=3, threshold=0.6
             ).to_pandas()["doc_id"]
         )
-        assert carry == join, (plan, cap)
-        assert 1 not in join and 0 in join
+        assert got == want, (plan, cap)
 
 
 def test_ngram_dedup_join_path_parallelism_invariant(ray_session, monkeypatch):
@@ -218,8 +232,7 @@ def test_ngram_dedup_join_path_parallelism_invariant(ray_session, monkeypatch):
         outs = [
             sorted(
                 dedup.ngram_jaccard_dedup(
-                    _ds(_corpus(), blocks=b), ngram=3, threshold=0.6,
-                    verify="join",
+                    _ds(_corpus(), blocks=b), ngram=3, threshold=0.6
                 ).to_pandas()["doc_id"]
             )
             for b in (1, 3, 7)
@@ -235,7 +248,7 @@ def test_ngram_dedup_join_path_no_candidates(ray_session, monkeypatch):
         _force_pair_plan(monkeypatch, plan)
         kept = sorted(
             dedup.ngram_jaccard_dedup(
-                _ds(tbl), ngram=3, threshold=0.6, verify="join",
+                _ds(tbl), ngram=3, threshold=0.6
             ).to_pandas()["doc_id"]
         )
         assert kept == list(range(3, 10)), plan
@@ -248,14 +261,14 @@ def test_ngram_dedup_local_budget_fallback(ray_session, monkeypatch):
     _force_pair_plan(monkeypatch, "distributed")
     want = sorted(
         dedup.ngram_jaccard_dedup(
-            _ds(_corpus()), ngram=3, threshold=0.6, verify="join",
+            _ds(_corpus()), ngram=3, threshold=0.6
         ).to_pandas()["doc_id"]
     )
     _force_pair_plan(monkeypatch, "local")
     monkeypatch.setattr(dedup, "NGRAM_LOCAL_MAX_TEXT_BYTES", 1)
     got = sorted(
         dedup.ngram_jaccard_dedup(
-            _ds(_corpus()), ngram=3, threshold=0.6, verify="join",
+            _ds(_corpus()), ngram=3, threshold=0.6
         ).to_pandas()["doc_id"]
     )
     assert got == want
@@ -508,8 +521,7 @@ def test_ngram_dedup_local_duplicate_ids_match_distributed(
         _force_pair_plan(monkeypatch, plan)
         outs[plan] = sorted(
             dedup.ngram_jaccard_dedup(
-                ray.data.from_arrow(tbl), ngram=3, threshold=0.5,
-                verify="join",
+                ray.data.from_arrow(tbl), ngram=3, threshold=0.5
             ).to_pandas()["doc_id"]
         )
     assert outs["local"] == outs["distributed"]
@@ -530,7 +542,7 @@ def test_ngram_dedup_local_int64_ids_on_every_path(ray_session, monkeypatch):
         }
     )
     out = dedup.ngram_jaccard_dedup(
-        ray.data.from_arrow(tbl), ngram=3, threshold=0.5, verify="join",
+        ray.data.from_arrow(tbl), ngram=3, threshold=0.5
     )
     assert out.schema().base_schema.field("doc_id").type == pa.int64()
     assert sorted(r["doc_id"] for r in out.take_all()) == [1, 2, 3]

@@ -29,11 +29,7 @@ def pipeline_rows(ray_session):
 
     from deepseek_ocr_ray.sources.interleaved import synthetic_dataset
 
-    # md5 parity mode: the sequential oracle pins the md5 partition rule
-    out = extract_dataset(
-        synthetic_dataset(N_DOCS, SEED),
-        PipelineConfig(partition_id_mode="md5"),
-    )
+    out = extract_dataset(synthetic_dataset(N_DOCS, SEED), PipelineConfig())
     return {r["doc_id"]: r for r in out.take_all()}
 
 
@@ -224,7 +220,7 @@ def test_assembly_detects_split_document():
 
 def test_salted_handles_extreme_doc(ray_session):
     """A single 500-unit document (≫ salt_span) splits into ~8 salt partials
-    and must reassemble identically to the groupby path."""
+    and must reassemble identically to the zero-shuffle path."""
     import ray.data
 
     from deepseek_ocr_ray.config import PipelineConfig
@@ -245,12 +241,12 @@ def test_salted_handles_extreme_doc(ray_session):
 
     cfg = PipelineConfig(ocr_concurrency=2, salt_span=64)
     rows = {}
-    for ex in ("groupby", "salted"):
+    for ex in ("none", "salted"):
         ds = ray.data.from_arrow(tbl)
         out = extract_dataset(ds, cfg, exchange=ex).take_all()
         assert len(out) == 1
         rows[ex] = out[0]
-    a, b = rows["groupby"], rows["salted"]
+    a, b = rows["none"], rows["salted"]
     assert a["markdown"] == b["markdown"]
     assert a["n_spans"] == b["n_spans"] > 300
     assert [tuple(s.values()) for s in a["spans"]] == [
@@ -349,20 +345,27 @@ def test_interleave_stats_brute(ray_session):
     assert checked == 50
 
 
-def test_partition_id_fast_mode_is_vectorized_hash(ray_session):
-    """Default (fast) partition ids follow the engine hash rule and stay
-    in range — and differ from md5 parity only in the bucket rule."""
+def test_partition_id_is_md5_rule(ray_session):
+    """Partition ids follow the one pinned rule — md5 of the doc_id, low
+    32 bits little-endian, modulo ``num_partitions`` — and stay in range."""
+    import hashlib
+
     import numpy as np
 
-    from deepseek_ocr_ray.hashing import string_hash64
     from deepseek_ocr_ray.sources.interleaved import synthetic_dataset
 
-    cfg = PipelineConfig()  # fast is the default
+    cfg = PipelineConfig()
     out = extract_dataset(synthetic_dataset(30, SEED), cfg).take_all()
-    ids = pa.array([r["doc_id"] for r in out], pa.string())
-    want = (
-        string_hash64(ids) % np.uint64(cfg.num_partitions)
-    ).astype(np.int64)
+    want = np.array(
+        [
+            int.from_bytes(
+                hashlib.md5(r["doc_id"].encode()).digest()[:4], "little"
+            )
+            % cfg.num_partitions
+            for r in out
+        ],
+        np.int64,
+    )
     got = np.array([r["partition_id"] for r in out], np.int64)
     assert (got == want).all()
     assert ((got >= 0) & (got < cfg.num_partitions)).all()

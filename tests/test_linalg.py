@@ -533,6 +533,29 @@ def test_logreg_zero_width_features_cached_equals_streaming(ray_session):
     assert bc == bs and bc > 0  # 4 of 6 labels are 1
 
 
+def test_logreg_cached_path_executes_mapped_input_once(
+    ray_session, run_marker
+):
+    """The cached path learns the feature width from the prepare pass's
+    own gradients: the mapped input runs once, with no limit-1 width probe
+    ahead of it."""
+    import ray.data
+
+    from deepseek_ocr_ray.stages.linalg import logreg_fit
+
+    touch, runs = run_marker
+    t = _blob_table(n=60, d=4, seed=3)
+    ds = ray.data.from_arrow(t).map_batches(
+        touch, batch_format="pyarrow"
+    )  # one block -> one task per plan execution
+    w, b, n = logreg_fit(ds, label_col="y", lr=4.0, iters=3, cache=True)
+    assert runs() == 1
+    assert n == 60
+    wr, br = _logreg_driver_replica(t, lr=4.0, iters=3)
+    assert np.array_equal(w, wr)
+    assert b == br
+
+
 def test_embedding_logreg_query(ray_session):
     from deepseek_ocr_ray.pipelines.analytics import embedding_logreg
 

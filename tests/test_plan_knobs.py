@@ -1,6 +1,7 @@
 """Plan choice belongs to the engine: no package function takes a
-plan-forcing parameter, and no code reads the environment except the
-triangle broadcast budget.  Tests force a plan by monkeypatching the
+plan-forcing parameter, the pipeline config has one ``partition_id``
+rule, and no code reads the environment except the triangle broadcast
+budget.  Tests force a plan by monkeypatching the
 module constant or decision function a site reads at call time."""
 
 from __future__ import annotations
@@ -22,6 +23,10 @@ REMOVED_KNOBS = {
     "finish",
     "cache_max_bytes",
     "broadcast_max_bytes",
+    # alternate plans deleted with the option that selected them
+    "plan",
+    "verify",
+    "carry_text",
 }
 
 # ``strategy`` survives only as equi_join's lazy-exchange override
@@ -57,6 +62,17 @@ def test_no_def_takes_a_plan_forcing_parameter():
                 ):
                     bad.append(f"{rel}:{node.lineno} {name}({arg}=...)")
     assert not bad, "plan-forcing parameters are back: " + ", ".join(bad)
+
+
+def test_pipeline_config_has_one_partition_id_rule():
+    """``partition_id`` is the md5 rule the reference oracle pins; a
+    second hash mode must not come back as a config field."""
+    import dataclasses
+
+    from deepseek_ocr_ray.config import PipelineConfig
+
+    names = {f.name for f in dataclasses.fields(PipelineConfig)}
+    assert "partition_id_mode" not in names
 
 
 def _reads_environment(node) -> bool:

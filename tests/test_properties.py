@@ -82,14 +82,13 @@ def test_assembly_block_order_invariant(rnd):
 
     from deepseek_ocr_ray.config import PipelineConfig
     from deepseek_ocr_ray.schema import synthesize_interleaved
-    from deepseek_ocr_ray.stages.assemble import add_bucket, assemble_bucket
+    from deepseek_ocr_ray.stages.assemble import assemble_bucket
     from deepseek_ocr_ray.stages.model_stub import OcrStage
     from deepseek_ocr_ray.stages.transforms import explode_docs, parse_units
 
     cfg = PipelineConfig()
     tbl = synthesize_interleaved(6, seed=9)
     units = parse_units(OcrStage(cfg)(explode_docs(tbl)), config=cfg)
-    units = add_bucket(units, n_buckets=4)
 
     idx = list(range(units.num_rows))
     rnd.shuffle(idx)

@@ -24,19 +24,21 @@ TABLES = [
 ]
 
 
-def _duck(sql: str) -> pd.DataFrame:
+def _connect(sf_dir: str = SF_DIR) -> duckdb.DuckDBPyConnection:
     con = duckdb.connect()
     for t in TABLES:
-        path = os.path.join(SF_DIR, f"{t}.parquet")
+        path = os.path.join(sf_dir, f"{t}.parquet")
         con.execute(f"CREATE VIEW {t} AS SELECT * FROM '{path}'")
+    return con
+
+
+def _duck(sql: str) -> pd.DataFrame:
+    con = _connect()
     return con.sql(sql).df()
 
 
 def _duck_arrow(sql: str):
-    con = duckdb.connect()
-    for t in TABLES:
-        path = os.path.join(SF_DIR, f"{t}.parquet")
-        con.execute(f"CREATE VIEW {t} AS SELECT * FROM '{path}'")
+    con = _connect()
     return con.sql(sql).arrow()
 
 
@@ -148,6 +150,17 @@ def test_query_matches_oracle(ray_session, name):
                 f"{name}.{c} mismatch at rows {np.nonzero(~eq)[0][:5]}: "
                 f"got {g[~eq][:5]} want {w[~eq][:5]}"
             )
+
+
+def test_fixture_oracle_raises_at_unsupported_scale():
+    """The committed fixtures hold rows for sf0.001 and sf0.01 only; at
+    sf0.1 a fixture oracle must raise, not return zero rows that would
+    read as a mismatch against a correct result."""
+    import __ray_entry__ as e
+
+    con = _connect(os.path.join(os.path.dirname(SF_DIR), "sf0.1"))
+    with pytest.raises(duckdb.Error, match="no fixture rows for corpus tag"):
+        con.sql(e.oracle_sql()["dedup_ngram"]).fetchall()
 
 
 def test_rows_only_queries_run(ray_session):
